@@ -1,8 +1,8 @@
 """Greeks and replication notionals for the desk call.
 
 Delta and gamma come from nonuniform central stencils on the solved
-surface; vega and rho come from Richardson-extrapolated central bumps
-of the full nonlinear solve, so they carry the credit, funding, and
+surface; vega and rho are plain central differences of bumped re-solves
+of the full nonlinear equation, so they carry the credit, funding, and
 cost channels, not just the lognormal core.
 """
 

@@ -6,7 +6,7 @@ PDE: trading costs on the share shrink the effective variance, and
 funding/credit exposure plus counterparty-bond rebalancing costs enter as a
 nonlinear source. The solver marches the payoff backward on a sinh-stretched
 log-price grid with an explicit scheme that sub-steps itself below its
-monotonicity bound.
+monotonicity bound; variants of one scenario march together in one stack.
 """
 
 from .analytics import (
@@ -53,7 +53,16 @@ from .model import (
     turnover_factor,
     validity_checks,
 )
-from .solver import Problem, Surface, nonlinear_source, solve, step, step_coefficients
+from .solver import (
+    Problem,
+    Surface,
+    nonlinear_source,
+    solve,
+    solve_pairs,
+    solve_stack,
+    step,
+    step_coefficients,
+)
 
 __version__ = "0.1.0"
 
@@ -100,6 +109,8 @@ __all__ = [
     "payoff",
     "positive_exposure_rate",
     "solve",
+    "solve_pairs",
+    "solve_stack",
     "stability_bound",
     "step",
     "step_coefficients",

@@ -13,18 +13,16 @@ when the adjustments are a cost to the seller.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.stats import norm
 
 from .csvio import fmt, write_rows
-from .errors import EngineError
 from .grid import GridSpec, build_space_grid
 from .instrument import Instrument
 from .model import ModelParams, ModelVariant
-from .solver import Problem, solve
+from .solver import Problem, solve_pairs, solved
 
 __all__ = ["closed_form_call", "closed_form_call_delta", "cva_profile",
            "compare_models", "sweep", "SweepResult"]
@@ -60,9 +58,7 @@ def closed_form_call_delta(S, K: float, r: float, carry: float, sigma: float, ta
 
 def cva_profile(prob: Problem) -> np.ndarray:
     """Terminal-row adjustment solve(variant) - solve(RISK_FREE), per node."""
-    full = solve(prob).terminal
-    base = solve(replace(prob, variant=ModelVariant.RISK_FREE)).terminal
-    return full - base
+    return solved(solve_pairs([(prob, replace(prob, variant=ModelVariant.RISK_FREE))])[0])[2]
 
 
 def compare_models(p: ModelParams, grid_spec: GridSpec, inst: Instrument,
@@ -71,9 +67,9 @@ def compare_models(p: ModelParams, grid_spec: GridSpec, inst: Instrument,
 
     Nonnegative for convex payoffs: every cost term lowers the seller's price.
     """
-    bk = solve(Problem(p, ModelVariant.BK, grid_spec, inst, **problem_kwargs))
-    bktc = solve(Problem(p, ModelVariant.BKTC, grid_spec, inst, **problem_kwargs))
-    return bk.terminal - bktc.terminal
+    pair = (Problem(p, ModelVariant.BK, grid_spec, inst, **problem_kwargs),
+            Problem(p, ModelVariant.BKTC, grid_spec, inst, **problem_kwargs))
+    return solved(solve_pairs([pair])[0])[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,20 +101,12 @@ class SweepResult:
         write_rows(path, rows)
 
 
-def _sweep_member(base: Problem, parameter: str, value: float):
-    prob = replace(base, params=replace(base.params, **{parameter: value}))
-    price = solve(prob).terminal
-    cva = price - solve(replace(prob, variant=ModelVariant.RISK_FREE)).terminal
-    return price, cva
-
-
-def sweep(base: Problem, parameter: str, values, max_workers: int = 1) -> SweepResult:
+def sweep(base: Problem, parameter: str, values) -> SweepResult:
     """Re-solve ``base`` for each value of one ModelParams field.
 
     Values must be strictly increasing. A member that fails (bad parameter
     value, ill-posed solve) is recorded under errors and the sweep moves on.
-    Members are independent, so max_workers > 1 fans them out over threads;
-    results keep input order either way.
+    Every member and its RiskFree twin march in one stack.
     """
     if parameter not in _PARAM_FIELDS:
         raise ValueError(f"{parameter!r} is not a model parameter "
@@ -129,27 +117,27 @@ def sweep(base: Problem, parameter: str, values, max_workers: int = 1) -> SweepR
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError("sweep values must be strictly increasing")
 
-    def run(v):
+    outcomes: dict[float, object] = {}
+    pairs = {}
+    for v in vals:
         try:
-            return _sweep_member(base, parameter, v)
-        except (EngineError, ValueError) as exc:
-            return exc
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run, vals))
-    else:
-        outcomes = [run(v) for v in vals]
+            prob = replace(base, params=replace(base.params, **{parameter: v}))
+        except ValueError as exc:
+            outcomes[v] = exc
+            continue
+        pairs[v] = (prob, replace(prob, variant=ModelVariant.RISK_FREE))
+    outcomes.update(zip(pairs, solve_pairs(list(pairs.values()))))
 
     prices, cvas, errors = [], [], {}
-    for v, out in zip(vals, outcomes):
+    for v in vals:
+        out = outcomes[v]
         if isinstance(out, Exception):
             prices.append(None)
             cvas.append(None)
             errors[v] = f"{type(out).__name__}: {out}"
         else:
             prices.append(out[0])
-            cvas.append(out[1])
+            cvas.append(out[2])
     return SweepResult(parameter=parameter, values=vals, prices=tuple(prices),
                        cvas=tuple(cvas), spots=build_space_grid(base.grid).spots,
                        variant=base.variant, grid_spec=base.grid, errors=errors)

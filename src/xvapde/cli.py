@@ -4,8 +4,7 @@ A run takes one JSON config and an output directory. Unknown config keys
 are rejected, missing keys are filled from the documented defaults (the
 desk-scale call scenario), and the fully resolved config is written beside
 the outputs as resolved_config.json so any run can be reproduced exactly.
-Outputs are deterministic byte for byte; XVAPDE_MAX_WORKERS caps how many
-sweep members run concurrently without affecting the bytes.
+Outputs are deterministic byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +23,7 @@ from .greeks import greeks_report
 from .grid import GridSpec, build_space_grid
 from .instrument import BOUNDARY_MODES, Instrument
 from .model import ModelParams, ModelVariant, validity_checks
-from .solver import DRIFT_MODES, Problem, solve
+from .solver import DRIFT_MODES, Problem, solve, solve_pairs, solved
 
 __all__ = ["resolve_config", "build_problem", "main"]
 
@@ -65,6 +63,24 @@ def _merge(section: str, given, defaults: dict) -> dict:
     return out
 
 
+def _number(path: str, value) -> float:
+    """A config number as a float; booleans and non-numbers name their path."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{path} must be a number, got {value!r}")
+
+
+def _integer(path: str, value) -> int:
+    """A config count; a number with a fractional part is rejected, not truncated."""
+    x = _number(path, value)
+    if not x.is_integer():
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return int(x)
+
+
 def resolve_config(cfg: dict) -> dict:
     """Fill defaults and reject unknown keys; returns plain JSON-ready data.
 
@@ -95,33 +111,38 @@ def resolve_config(cfg: dict) -> dict:
             raise ConfigError("sweep.parameter must be a model parameter name")
         if not isinstance(swp.get("values"), list) or not swp["values"]:
             raise ConfigError("sweep.values must be a nonempty list of numbers")
-        swp["values"] = [float(v) for v in swp["values"]]
+        swp["values"] = [_number(f"sweep.values[{k}]", v)
+                         for k, v in enumerate(swp["values"])]
     return {
         "params": params, "grid": grid, "instrument": instrument, "greeks": greeks,
         "variant": top["variant"], "boundary_mode": top["boundary_mode"],
         "drift_discretization": top["drift_discretization"],
-        "condition2_c": float(top["condition2_c"]), "sweep": swp,
+        "condition2_c": _number("condition2_c", top["condition2_c"]), "sweep": swp,
     }
 
 
 def build_problem(resolved: dict) -> Problem:
+    values = {k: _number(f"params.{k}", v) for k, v in resolved["params"].items()}
     try:
-        params = ModelParams(**{k: float(v) for k, v in resolved["params"].items()})
+        params = ModelParams(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"params: {exc}") from exc
     g = resolved["grid"]
+    spec = {k: (_integer if k in ("n_space", "n_time") else _number)(f"grid.{k}", g[k])
+            for k in GRID_DEFAULTS}
     try:
-        grid = GridSpec(x_minus=float(g["x_minus"]), x_plus=float(g["x_plus"]),
-                        x_star=float(g["x_star"]), alpha=float(g["alpha"]),
-                        n_space=int(g["n_space"]), n_time=int(g["n_time"]),
-                        horizon=float(g["horizon"]))
-    except (TypeError, ValueError, InvalidSpec) as exc:
+        grid = GridSpec(**spec)
+    except InvalidSpec as exc:
         raise ConfigError(f"grid: {exc}") from exc
     ins = resolved["instrument"]
+    strike = _number("instrument.strike", ins["strike"])
+    custom = ins["custom_payoff"]
+    if custom is not None:
+        if not isinstance(custom, list):
+            raise ConfigError("instrument.custom_payoff must be a list of numbers")
+        custom = [_number(f"instrument.custom_payoff[{k}]", v) for k, v in enumerate(custom)]
     try:
-        inst = Instrument(kind=str(ins["kind"]), strike=float(ins["strike"]),
-                          custom_payoff=None if ins["custom_payoff"] is None
-                          else [float(v) for v in ins["custom_payoff"]])
+        inst = Instrument(kind=str(ins["kind"]), strike=strike, custom_payoff=custom)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"instrument: {exc}") from exc
     return Problem(params=params, variant=ModelVariant(resolved["variant"]),
@@ -149,19 +170,6 @@ def _write_resolved(resolved: dict, out_dir: Path) -> None:
     (out_dir / "resolved_config.json").write_text(text)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("XVAPDE_MAX_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"XVAPDE_MAX_WORKERS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError("XVAPDE_MAX_WORKERS must be at least 1")
-    return n
-
-
 def _cmd_validate(resolved: dict, out_dir: Path) -> int:
     prob = build_problem(resolved)
     reports = validity_checks(prob.effective_params(),
@@ -185,8 +193,9 @@ def _cmd_price(resolved: dict, out_dir: Path) -> int:
 
 def _cmd_greeks(resolved: dict, out_dir: Path) -> int:
     prob = build_problem(resolved)
-    rep = greeks_report(prob, eps_sigma=float(resolved["greeks"]["eps_sigma"]),
-                        eps_r=float(resolved["greeks"]["eps_r"]))
+    eps = resolved["greeks"]
+    rep = greeks_report(prob, eps_sigma=_number("greeks.eps_sigma", eps["eps_sigma"]),
+                        eps_r=_number("greeks.eps_r", eps["eps_r"]))
     rep.to_csv(out_dir / "greeks.csv")
     i = int(abs(rep.spots - prob.instrument.strike).argmin())
     print(f"at S = {rep.spots[i]:.6g}: delta = {rep.delta[i]:.6g}, "
@@ -196,9 +205,8 @@ def _cmd_greeks(resolved: dict, out_dir: Path) -> int:
 
 def _cmd_cva(resolved: dict, out_dir: Path) -> int:
     prob = build_problem(resolved)
-    full = solve(prob).terminal
-    base = solve(replace(prob, variant=ModelVariant.RISK_FREE)).terminal
-    cva = full - base
+    full, base, cva = solved(solve_pairs(
+        [(prob, replace(prob, variant=ModelVariant.RISK_FREE))])[0])
     spots = build_space_grid(prob.grid).spots
     rows = [["S", "price", "risk_free_price", "cva"]]
     for i in range(len(spots)):
@@ -216,7 +224,7 @@ def _cmd_sweep(resolved: dict, out_dir: Path) -> int:
     prob = build_problem(resolved)
     try:
         result = sweep(prob, resolved["sweep"]["parameter"],
-                       resolved["sweep"]["values"], max_workers=_max_workers())
+                       resolved["sweep"]["values"])
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     result.to_csv(out_dir / "sweep.csv")

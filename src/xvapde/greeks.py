@@ -3,8 +3,9 @@
 Delta and Gamma come from differentiating one tau level in log space and
 mapping back: Delta = V_x / S, Gamma = (V_xx - V_x) / S^2. Interior nodes
 use the nonuniform central stencils, the two walls one-sided ones. Vega and
-Rho are central bump-and-revalue derivatives: sigma (or r) is bumped
-everywhere it appears, including the cost terms, while q_S stays put.
+Rho are plain central differences of bumped re-solves: sigma (or r) is
+bumped everywhere it appears, including the cost terms, while q_S stays
+put. The bumped variants march together in one stack.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 
 from .csvio import fmt, write_rows
 from .errors import WellPosednessViolation
+from .grid import build_space_grid, build_time_grid
 from .model import ModelParams
-from .solver import Problem, Surface, solve
+from .solver import Problem, Surface, solve_pairs, solve_stack, solved
 
 __all__ = ["GreeksReport", "HedgeNotionals", "delta_gamma", "bump_greek",
            "greeks_report", "hedge_notionals"]
@@ -75,21 +77,18 @@ def _dxx(row: np.ndarray, grid) -> np.ndarray:
 
 def delta_gamma(surface: Surface, time_index: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (Delta, Gamma) at the chosen tau level (terminal by default)."""
-    row = surface.values[time_index]
-    s = surface.grid.spots
-    vx = _dx(row, surface.grid)
-    vxx = _dxx(row, surface.grid)
+    return _delta_gamma_row(surface.values[time_index], surface.grid)
+
+
+def _delta_gamma_row(row: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    s = grid.spots
+    vx = _dx(row, grid)
+    vxx = _dxx(row, grid)
     return vx / s, (vxx - vx) / s ** 2
 
 
-def bump_greek(prob: Problem, which: str, eps: float | None = None,
-               time_index: int = -1) -> np.ndarray:
-    """Central-difference sensitivity of the chosen tau level.
-
-    which = "vega" bumps sigma, "rho" bumps r. The down-bump must leave the
-    parameters valid; for vega that means sigma - eps must stay above the
-    condition-1 cost floor, else WellPosednessViolation.
-    """
+def _bumped(prob: Problem, which: str, eps: float | None) -> tuple[float, Problem, Problem]:
+    """(eps, up-bumped problem, down-bumped problem) for vega or rho."""
     if which not in DEFAULT_EPS:
         raise ValueError(f"which must be one of {tuple(DEFAULT_EPS)}, got {which!r}")
     if eps is None:
@@ -101,9 +100,20 @@ def bump_greek(prob: Problem, which: str, eps: float | None = None,
     hi = getattr(prob.params, name) + eps
     if which == "vega" and lo <= 0.0:
         raise WellPosednessViolation(f"sigma - eps = {lo:.6g} is not positive")
-    up = solve(replace(prob, params=replace(prob.params, **{name: hi})))
-    dn = solve(replace(prob, params=replace(prob.params, **{name: lo})))
-    return (up.values[time_index] - dn.values[time_index]) / (2.0 * eps)
+    return (eps, replace(prob, params=replace(prob.params, **{name: hi})),
+            replace(prob, params=replace(prob.params, **{name: lo})))
+
+
+def bump_greek(prob: Problem, which: str, eps: float | None = None,
+               time_index: int = -1) -> np.ndarray:
+    """Central-difference sensitivity of the chosen tau level.
+
+    which = "vega" bumps sigma, "rho" bumps r. The down-bump must leave the
+    parameters valid; for vega that means sigma - eps must stay above the
+    condition-1 cost floor, else WellPosednessViolation.
+    """
+    eps, up, dn = _bumped(prob, which, eps)
+    return solved(solve_pairs([(up, dn)], time_index)[0])[2] / (2.0 * eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,13 +135,19 @@ class GreeksReport:
 
 def greeks_report(prob: Problem, eps_sigma: float = 1e-3, eps_r: float = 1e-4,
                   time_index: int = -1) -> GreeksReport:
-    """Solve once for Delta/Gamma and four more times for Vega/Rho."""
-    surface = solve(prob)
-    delta, gamma = delta_gamma(surface, time_index)
-    vega = bump_greek(prob, "vega", eps_sigma, time_index)
-    rho = bump_greek(prob, "rho", eps_r, time_index)
-    return GreeksReport(spots=surface.grid.spots, delta=delta, gamma=gamma,
-                        vega=vega, rho=rho, tau=float(surface.taus[time_index]))
+    """Delta/Gamma from the base solve, Vega/Rho from four bumped ones.
+
+    The five solves march together, keeping only the chosen tau level.
+    """
+    eps_sigma, sigma_up, sigma_dn = _bumped(prob, "vega", eps_sigma)
+    eps_r, r_up, r_dn = _bumped(prob, "rho", eps_r)
+    base, s_up, s_dn, up, dn = (solved(row) for row in solve_stack(
+        [prob, sigma_up, sigma_dn, r_up, r_dn], time_index))
+    grid = build_space_grid(prob.grid)
+    delta, gamma = _delta_gamma_row(base, grid)
+    return GreeksReport(spots=grid.spots, delta=delta, gamma=gamma,
+                        vega=(s_up - s_dn) / (2.0 * eps_sigma), rho=(up - dn) / (2.0 * eps_r),
+                        tau=float(build_time_grid(prob.grid)[time_index]))
 
 
 @dataclass(frozen=True, eq=False)

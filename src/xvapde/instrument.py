@@ -30,7 +30,7 @@ from .grid import SpaceGrid
 from .model import (ModelParams, cpty_cost_rate, modified_variance,
                     positive_exposure_rate)
 
-__all__ = ["Instrument", "BOUNDARY_MODES", "payoff", "boundary_values"]
+__all__ = ["Instrument", "BOUNDARY_MODES", "payoff", "boundary_curves", "boundary_values"]
 
 KINDS = ("call", "put", "custom")
 BOUNDARY_MODES = ("model_consistent", "discounted_strike", "asymptotic")
@@ -81,35 +81,58 @@ def _wall_stock_rate(p: ModelParams, hb: float, hf: float, cost_sign: float) -> 
             + cost_sign * cpty_cost_rate(p) * d1)
 
 
-def boundary_values(inst: Instrument, grid: SpaceGrid, tau: float, p: ModelParams,
-                    mode: str = "model_consistent") -> tuple[float, float]:
-    """Dirichlet data (lower, upper) at backward time tau.
+def boundary_curves(inst: Instrument, grid: SpaceGrid, p: ModelParams,
+                    mode: str = "model_consistent"):
+    """Dirichlet data as a function of backward time, tau-free factors hoisted.
 
-    ``p`` should already be variant-filtered; the model_consistent recipe
-    reads the funding/credit and cost inputs off it.
+    Returns ``walls(taus) -> (lower, upper)``, two float arrays over the
+    given taus. Every tau-dependent factor is evaluated with ``math.exp``,
+    one tau at a time, so each value is the one the formula gives for that
+    tau alone. ``p`` should already be variant-filtered; the
+    model_consistent recipe reads the funding/credit and cost inputs off it.
     """
     if mode not in BOUNDARY_MODES:
         raise ValueError(f"mode must be one of {BOUNDARY_MODES}, got {mode!r}")
     if inst.kind == "custom":
         g = payoff(inst, grid)
-        return float(g[0]), float(g[-1])
+        return _constant(float(g[0]), float(g[-1]))
 
     s_lo = math.exp(grid.nodes[0])
     s_hi = math.exp(grid.nodes[-1])
     K = inst.strike
+    call = inst.kind == "call"
     if mode == "model_consistent":
         h = grid.h
         rho = p.r + positive_exposure_rate(p)  # deep ITM value is positive either kind
-        if inst.kind == "call":
+        if call:
             # the wall node's own spacings: h into the wall, last ratio beyond it
             g_s = _wall_stock_rate(p, h[-1], h[-1] * h[-1] / h[-2], -1.0)
-            return 0.0, s_hi * math.exp(g_s * tau) - K * math.exp(-rho * tau)
+            return _upper(lambda taus: [s_hi * math.exp(g_s * t) - K * math.exp(-rho * t)
+                                        for t in taus])
         g_s = _wall_stock_rate(p, h[0] * h[0] / h[1], h[0], +1.0)
-        return K * math.exp(-rho * tau) - s_lo * math.exp(g_s * tau), 0.0
+        return _lower(lambda taus: [K * math.exp(-rho * t) - s_lo * math.exp(g_s * t)
+                                    for t in taus])
     if mode == "discounted_strike":
-        if inst.kind == "call":
-            return 0.0, s_hi - K * math.exp(-p.r * tau)
-        return K * math.exp(-p.r * tau) - s_lo, 0.0
-    if inst.kind == "call":
-        return 0.0, s_hi
-    return K, 0.0
+        if call:
+            return _upper(lambda taus: [s_hi - K * math.exp(-p.r * t) for t in taus])
+        return _lower(lambda taus: [K * math.exp(-p.r * t) - s_lo for t in taus])
+    return _constant(0.0, s_hi) if call else _constant(K, 0.0)
+
+
+def _constant(lo: float, hi: float):
+    return lambda taus: (np.full(len(taus), lo), np.full(len(taus), hi))
+
+
+def _upper(curve):
+    return lambda taus: (np.zeros(len(taus)), np.array(curve(taus), dtype=float))
+
+
+def _lower(curve):
+    return lambda taus: (np.array(curve(taus), dtype=float), np.zeros(len(taus)))
+
+
+def boundary_values(inst: Instrument, grid: SpaceGrid, tau: float, p: ModelParams,
+                    mode: str = "model_consistent") -> tuple[float, float]:
+    """Dirichlet data (lower, upper) at backward time tau; see boundary_curves."""
+    lo, hi = boundary_curves(inst, grid, p, mode)([tau])
+    return float(lo[0]), float(hi[0])

@@ -18,6 +18,15 @@ counterparty-bond cost sink on the positive part U = max(V, 0):
 Whenever the reporting step exceeds the monotonicity bound of the grid, the
 step is split into equal sub-steps automatically; passing substep=False
 disables the guard (useful only to demonstrate the blow-up).
+
+A solve has two parts. ``plan`` does everything that does not change with
+tau once: the condition checks and warnings, the grid, the sub-step count
+and size, the weights (a, b, c), the three source rates and the wall
+curves. The march then only does arithmetic, on a (members x nodes) stack:
+``solve`` marches a stack of one, ``solve_stack`` and ``solve_pairs`` march
+many variants together. Members share a stack only when they share a grid
+and a sub-step count, so every member keeps its own nsub, and each one's
+numbers are exactly those of its lone solve.
 """
 
 from __future__ import annotations
@@ -25,13 +34,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .csvio import fmt, write_rows
-from .errors import ModelAssumptionWarning, NonFiniteValue
+from .errors import EngineError, ModelAssumptionWarning, NonFiniteValue
 from .grid import GridSpec, SpaceGrid, build_space_grid, build_time_grid, stability_bound
-from .instrument import BOUNDARY_MODES, Instrument, boundary_values, payoff
+from .instrument import BOUNDARY_MODES, Instrument, boundary_curves, payoff
 from .model import (
     ModelParams,
     ModelVariant,
@@ -44,9 +54,11 @@ from .model import (
     positive_exposure_rate,
 )
 
-__all__ = ["Problem", "Surface", "step_coefficients", "nonlinear_source", "step", "solve"]
+__all__ = ["Problem", "Surface", "Plan", "plan", "step_coefficients", "source_rates",
+           "nonlinear_source", "step", "solve", "solve_stack", "solve_pairs", "solved"]
 
 DRIFT_MODES = ("forward", "upwind")
+_WALL_BLOCK = 512  # sub-steps of wall data made at once
 
 
 @dataclass(frozen=True)
@@ -131,31 +143,82 @@ def step_coefficients(grid: SpaceGrid, p: ModelParams, dtau: float,
     return a, b, c
 
 
-def nonlinear_source(row: np.ndarray, grid: SpaceGrid, p: ModelParams) -> np.ndarray:
-    """Funding/credit/cost source at the interior nodes for the given row.
+def source_rates(p: ModelParams) -> tuple[float, float, float]:
+    """(positive-exposure, negative-exposure, cost) rates of the source."""
+    return positive_exposure_rate(p), negative_exposure_rate(p), cpty_cost_rate(p)
 
-    Expects variant-filtered parameters; the cost sink differences the
-    positive part forward, matching the upper-wall side where a call's
-    exposure lives.
+
+def nonlinear_source(rows: np.ndarray, grid: SpaceGrid, p) -> np.ndarray:
+    """Funding/credit/cost source at the interior nodes for the given row(s).
+
+    ``rows`` is one row or a (members x nodes) stack. ``p`` is the
+    variant-filtered ModelParams of a row, or the three ``source_rates``,
+    as scalars or as (members x 1) columns for a stack. The cost sink
+    differences the positive part forward, matching the upper-wall side
+    where a call's exposure lives.
     """
-    pos = np.maximum(row, 0.0)
-    neg = np.minimum(row, 0.0)
-    slope = (pos[2:] - pos[1:-1]) / grid.h[1:]
-    return (positive_exposure_rate(p) * pos[1:-1]
-            + negative_exposure_rate(p) * neg[1:-1]
-            + cpty_cost_rate(p) * np.abs(slope))
+    pos_rate, neg_rate, cost_rate = source_rates(p) if isinstance(p, ModelParams) else p
+    pos = np.maximum(rows, 0.0)
+    neg = np.minimum(rows, 0.0)
+    slope = (pos[..., 2:] - pos[..., 1:-1]) / grid.h[1:]
+    return (pos_rate * pos[..., 1:-1]
+            + neg_rate * neg[..., 1:-1]
+            + cost_rate * np.abs(slope))
 
 
-def step(row: np.ndarray, m: int, prob: Problem, substep: bool = True) -> np.ndarray:
-    """Advance one reporting step, from tau_m to tau_{m+1}.
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """What a march of one problem needs that does not change with tau.
 
-    Splits the step into ceil(dtau / stability_bound) equal sub-steps unless
-    substep is False. Raises NonFiniteValue the moment any node stops being
-    finite.
+    ``walls(taus)`` gives the (lower, upper) Dirichlet data at the given
+    taus; ``start`` is the payoff row at tau = 0.
+    """
+
+    grid: SpaceGrid
+    dtau: float
+    nsub: int
+    delta: float
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    rates: tuple[float, float, float]
+    walls: Callable
+    start: np.ndarray
+
+
+def _check_conditions(prob: Problem, p: ModelParams) -> None:
+    """Condition 1 raises; conditions 2 and 4 and lambda_B < r*C_B only warn."""
+    modified_variance(p)  # condition 1, hard
+    if negative_exposure_rate(p) < 0.0:
+        warnings.warn(
+            "lambda_B < r*C_B: the condition2 bracket assumes a nonnegative "
+            "negative-exposure rate", ModelAssumptionWarning, stacklevel=3)
+    if not check_condition2(p, prob.condition2_c):
+        warnings.warn(
+            f"condition2 failed: c * bracket = "
+            f"{prob.condition2_c * condition2_value(p):.6g} >= 1; the "
+            "contraction argument behind the scheme no longer applies",
+            ModelAssumptionWarning, stacklevel=3)
+    if not check_condition4(p, float(math.exp(prob.grid.x_plus))):
+        warnings.warn(
+            "condition4 failed: q_S - gamma_S exceeds the effective discount "
+            "bound; the comparison argument behind the scheme no longer applies",
+            ModelAssumptionWarning, stacklevel=3)
+
+
+def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> Plan:
+    """Check the problem and build everything its march needs, once.
+
+    Splits each reporting step into ceil(dtau / stability_bound) equal
+    sub-steps unless substep is False. ``grid`` may pass in the already
+    built grid of ``prob.grid``. Raises WellPosednessViolation when the
+    variant-filtered parameters break condition 1.
     """
     p = prob.effective_params()
-    grid = build_space_grid(prob.grid)
-    dtau = prob.grid.dtau
+    _check_conditions(prob, p)
+    if grid is None:
+        grid = build_space_grid(prob.grid)
+    dtau = prob.grid.dtau if prob.grid.n_time else 0.0
     nsub = 1
     if substep:
         bound = stability_bound(grid, p)
@@ -163,24 +226,103 @@ def step(row: np.ndarray, m: int, prob: Problem, substep: bool = True) -> np.nda
             nsub = max(1, math.ceil(dtau / bound))
     delta = dtau / nsub
     a, b, c = step_coefficients(grid, p, delta, prob.drift_discretization)
-    out = np.asarray(row, dtype=float)
-    for j in range(1, nsub + 1):
-        # non-finiteness is detected below; let an unstable march overflow quietly
-        with np.errstate(over="ignore", invalid="ignore"):
-            interior = (a * out[:-2] + b * out[1:-1] + c * out[2:]
-                        - delta * nonlinear_source(out, grid, p))
-        # land the final sub-step exactly on the reporting level
-        tau = (m + 1) * dtau if j == nsub else m * dtau + j * delta
-        lo, hi = boundary_values(prob.instrument, grid, tau, p, prob.boundary_mode)
-        nxt = np.empty_like(out)
-        nxt[0] = lo
-        nxt[1:-1] = interior
-        nxt[-1] = hi
-        bad = ~np.isfinite(nxt)
-        if bad.any():
-            raise NonFiniteValue(m, int(np.argmax(bad)))
-        out = nxt
+    return Plan(grid=grid, dtau=dtau, nsub=nsub, delta=delta, a=a, b=b, c=c,
+                rates=source_rates(p),
+                walls=boundary_curves(prob.instrument, grid, p, prob.boundary_mode),
+                start=payoff(prob.instrument, grid))
+
+
+def _walls(plans, dtau: float, nsub: int, delta: float, levels) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) wall values, (sub-steps x members), over the given levels."""
+    # land the final sub-step of each level exactly on the reporting level
+    taus = [(m + 1) * dtau if j == nsub else m * dtau + j * delta
+            for m in levels for j in range(1, nsub + 1)]
+    walls = [pl.walls(taus) for pl in plans]
+    return np.array([w[0] for w in walls]).T, np.array([w[1] for w in walls]).T
+
+
+def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> list:
+    """March a stack from level ``first`` to level ``last``.
+
+    The plans share one grid and one nsub; ``rows`` holds one row per plan.
+    ``keep`` is the level to return, or None for every level from
+    ``first`` on. One outcome per plan: the kept values, or the
+    NonFiniteValue that stopped it. A member that stops leaves the stack
+    and the others march on.
+    """
+    lead = plans[0]
+    grid, dtau, nsub, delta = lead.grid, lead.dtau, lead.nsub, lead.delta
+    # wall data is made a block of levels at a time: one call per member
+    # per block, without holding every sub-step of a fine grid at once
+    block = max(1, _WALL_BLOCK // nsub)
+    a = np.array([pl.a for pl in plans])
+    b = np.array([pl.b for pl in plans])
+    c = np.array([pl.c for pl in plans])
+    rates = tuple(np.array([[pl.rates[k]] for pl in plans]) for k in range(3))
+
+    live = list(range(len(plans)))   # stack row -> plan index
+    out: list = [None] * len(plans)
+    x = np.array(rows, dtype=float)
+    levels = None
+    if keep is None:
+        levels = np.empty((len(plans), last - first + 1, x.shape[1]))
+        levels[:, 0] = x
+    elif keep == first:
+        out = list(x.copy())
+    # non-finiteness is detected below; let an unstable march overflow quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(first, last):
+            if (m - first) % block == 0:
+                lo, hi = _walls([plans[r] for r in live], dtau, nsub, delta,
+                                range(m, min(m + block, last)))
+                s = 0
+            for _ in range(nsub):
+                nxt = np.empty_like(x)
+                nxt[:, 1:-1] = (a * x[:, :-2] + b * x[:, 1:-1] + c * x[:, 2:]
+                                - delta * nonlinear_source(x, grid, rates))
+                nxt[:, 0] = lo[s]
+                nxt[:, -1] = hi[s]
+                s += 1
+                finite = np.isfinite(nxt)
+                if not finite.all():
+                    ok = finite.all(axis=1)
+                    for r in np.flatnonzero(~ok):
+                        out[live[r]] = NonFiniteValue(m, int(np.argmax(~finite[r])))
+                    live = [live[r] for r in np.flatnonzero(ok)]
+                    if not live:
+                        return out
+                    nxt, a, b, c, lo, hi = nxt[ok], a[ok], b[ok], c[ok], lo[:, ok], hi[:, ok]
+                    rates = tuple(q[ok] for q in rates)
+                    if levels is not None:
+                        levels = levels[ok]
+                x = nxt
+            if levels is not None:
+                levels[:, m + 1 - first] = x
+            elif m + 1 == keep:
+                for r, row in zip(live, x):
+                    out[r] = row.copy()
+    if levels is not None:
+        for r, vals in zip(live, levels):
+            out[r] = vals
     return out
+
+
+def solved(outcome):
+    """A stacked solve's outcome for one member, raised if it is an error."""
+    if isinstance(outcome, EngineError):
+        raise outcome
+    return outcome
+
+
+def step(row: np.ndarray, m: int, prob: Problem, substep: bool = True) -> np.ndarray:
+    """Advance one reporting step, from tau_m to tau_{m+1}.
+
+    One level of the same march ``solve`` runs. Raises NonFiniteValue the
+    moment any node stops being finite.
+    """
+    pl = plan(prob, substep)
+    rows = np.asarray(row, dtype=float)[None, :]
+    return solved(_march([pl], rows, m, m + 1, m + 1)[0])
 
 
 def solve(prob: Problem, substep: bool = True) -> Surface:
@@ -190,27 +332,49 @@ def solve(prob: Problem, substep: bool = True) -> Surface:
     condition 1; conditions 2 and 4 and a negative lambda_B - r*C_B only
     emit ModelAssumptionWarning.
     """
-    p = prob.effective_params()
-    modified_variance(p)  # condition 1, hard
-    if negative_exposure_rate(p) < 0.0:
-        warnings.warn(
-            "lambda_B < r*C_B: the condition2 bracket assumes a nonnegative "
-            "negative-exposure rate", ModelAssumptionWarning, stacklevel=2)
-    if not check_condition2(p, prob.condition2_c):
-        warnings.warn(
-            f"condition2 failed: c * bracket = "
-            f"{prob.condition2_c * condition2_value(p):.6g} >= 1; the "
-            "contraction argument behind the scheme no longer applies",
-            ModelAssumptionWarning, stacklevel=2)
-    if not check_condition4(p, float(math.exp(prob.grid.x_plus))):
-        warnings.warn(
-            "condition4 failed: q_S - gamma_S exceeds the effective discount "
-            "bound; the comparison argument behind the scheme no longer applies",
-            ModelAssumptionWarning, stacklevel=2)
+    pl = plan(prob, substep)
+    values = solved(_march([pl], pl.start[None, :], 0, prob.grid.n_time, None)[0])
+    return Surface(values=values, grid=pl.grid, taus=build_time_grid(prob.grid))
 
-    grid = build_space_grid(prob.grid)
-    values = np.empty((prob.grid.n_time + 1, grid.n + 1))
-    values[0] = payoff(prob.instrument, grid)
-    for m in range(prob.grid.n_time):
-        values[m + 1] = step(values[m], m, prob, substep=substep)
-    return Surface(values=values, grid=grid, taus=build_time_grid(prob.grid))
+
+def solve_stack(problems, time_index: int | None = -1, substep: bool = True) -> list:
+    """Solve many problems in stacked marches; one outcome per problem, in order.
+
+    An outcome is the problem's row at level ``time_index`` (every level
+    when it is None), or the EngineError that stopped that problem alone:
+    a broken condition 1 at planning, or NonFiniteValue in the march.
+    Problems march together when they share a grid and a sub-step count.
+    """
+    out: list = [None] * len(problems)
+    grids: dict[GridSpec, SpaceGrid] = {}
+    groups: dict[tuple[GridSpec, int], list] = {}
+    for i, prob in enumerate(problems):
+        try:
+            if prob.grid not in grids:
+                grids[prob.grid] = build_space_grid(prob.grid)
+            pl = plan(prob, substep, grids[prob.grid])
+        except EngineError as exc:
+            out[i] = exc
+            continue
+        groups.setdefault((prob.grid, pl.nsub), []).append((i, pl))
+    for (spec, _), members in groups.items():
+        index, plans = zip(*members)
+        keep = None if time_index is None else range(spec.n_time + 1)[time_index]
+        rows = np.array([pl.start for pl in plans])
+        for i, res in zip(index, _march(plans, rows, 0, spec.n_time, keep)):
+            out[i] = res
+    return out
+
+
+def solve_pairs(pairs, time_index: int = -1) -> list:
+    """March every (first, second) pair of variants together, then subtract.
+
+    One outcome per pair: the rows (first, second, first - second) at level
+    ``time_index``, or the error of the first member that failed.
+    """
+    rows = solve_stack([prob for pair in pairs for prob in pair], time_index)
+    out = []
+    for first, second in zip(rows[::2], rows[1::2]):
+        failed = [r for r in (first, second) if isinstance(r, EngineError)]
+        out.append(failed[0] if failed else (first, second, first - second))
+    return out

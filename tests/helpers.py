@@ -2,7 +2,21 @@
 
 import math
 
-from xvapde import GridSpec, Instrument, ModelParams, ModelVariant, Problem
+import numpy as np
+
+from xvapde import (
+    GridSpec,
+    Instrument,
+    ModelParams,
+    ModelVariant,
+    Problem,
+    boundary_values,
+    build_space_grid,
+    nonlinear_source,
+    payoff,
+    stability_bound,
+    step_coefficients,
+)
 
 STRIKE = 8.0
 HORIZON = 1.0
@@ -29,3 +43,33 @@ def desk_problem(variant: ModelVariant = ModelVariant.BKTC, grid: GridSpec | Non
     return Problem(params=desk_params(**param_overrides), variant=variant,
                    grid=grid or desk_grid(),
                    instrument=instrument or Instrument(kind="call", strike=STRIKE))
+
+
+def serial_solve(prob: Problem, substep: bool = True) -> np.ndarray:
+    """Every level of the march as a plain per-level, per-sub-step loop.
+
+    Rebuilds the wall data on every sub-step from the public primitives,
+    with nothing planned or stacked: the reference the planned, stacked
+    march must reproduce bit for bit.
+    """
+    p = prob.effective_params()
+    grid = build_space_grid(prob.grid)
+    dtau = prob.grid.dtau
+    nsub = 1
+    if substep:
+        bound = stability_bound(grid, p)
+        if math.isfinite(bound):
+            nsub = max(1, math.ceil(dtau / bound))
+    delta = dtau / nsub
+    a, b, c = step_coefficients(grid, p, delta, prob.drift_discretization)
+    values = [payoff(prob.instrument, grid)]
+    for m in range(prob.grid.n_time):
+        row = values[-1]
+        for j in range(1, nsub + 1):
+            interior = (a * row[:-2] + b * row[1:-1] + c * row[2:]
+                        - delta * nonlinear_source(row, grid, p))
+            tau = (m + 1) * dtau if j == nsub else m * dtau + j * delta
+            lo, hi = boundary_values(prob.instrument, grid, tau, p, prob.boundary_mode)
+            row = np.concatenate([[lo], interior, [hi]])
+        values.append(row)
+    return np.array(values)

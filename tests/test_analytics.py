@@ -6,17 +6,20 @@ closed form is validated by an independent construction, not by itself.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from xvapde import (
+    ModelVariant,
     build_space_grid,
     closed_form_call,
     closed_form_call_delta,
     compare_models,
     cva_profile,
+    solve,
     sweep,
 )
 
@@ -150,13 +153,20 @@ def test_sweep_prices_fall_as_the_share_cost_rises():
     assert atm[0] > atm[1] > atm[2]
 
 
-def test_sweep_threads_change_nothing_but_wall_time():
-    prob = desk_problem(grid=desk_grid(n_time=20))
-    serial = sweep(prob, "lambda_C", [0.005, 0.01, 0.02], max_workers=1)
-    threaded = sweep(prob, "lambda_C", [0.005, 0.01, 0.02], max_workers=4)
-    assert serial.errors == threaded.errors
-    for a, b in zip(serial.prices + serial.cvas, threaded.prices + threaded.cvas):
-        np.testing.assert_array_equal(a, b)
+def test_sweep_members_equal_their_lone_solves():
+    """Members march stacked with their RiskFree twins, grouped by sub-step
+    count (sigma 0.1 -> 0.3 crosses nsub 1 -> 10 at N = 60, M = 20); each
+    member's price and cva are bit for bit those of its own two solves."""
+    prob = desk_problem(grid=desk_grid(n_space=60, n_time=20))
+    values = [0.1, 0.15, 0.2, 0.3]
+    res = sweep(prob, "sigma", values)
+    assert res.errors == {}
+    for v, price, cva in zip(values, res.prices, res.cvas):
+        member = replace(prob, params=replace(prob.params, sigma=v))
+        alone = solve(member).terminal
+        np.testing.assert_array_equal(price, alone)
+        np.testing.assert_array_equal(
+            cva, alone - solve(replace(member, variant=ModelVariant.RISK_FREE)).terminal)
 
 
 def test_sweep_csv_is_long_format_and_skips_failures(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,16 +213,47 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
         (out2 / "resolved_config.json").read_bytes()
 
 
-def test_worker_env_does_not_change_the_bytes(tmp_path, monkeypatch):
-    _, serial = run(tmp_path, "sweep", SWEEP_CFG, name="serial")
-    monkeypatch.setenv("XVAPDE_MAX_WORKERS", "3")
-    _, threaded = run(tmp_path, "sweep", SWEEP_CFG, name="threaded")
-    assert (serial / "sweep.csv").read_bytes() == (threaded / "sweep.csv").read_bytes()
+def test_sweep_bytes_do_not_depend_on_run_order(tmp_path):
+    """A sweep's bytes are the same whether it runs first, after another
+    sweep, or after the other commands in the same process."""
+    other = {"grid": FAST_GRID,
+             "sweep": {"parameter": "sigma", "values": [0.1, 0.2, 0.3]}}
+    _, first = run(tmp_path, "sweep", SWEEP_CFG, name="first")
+    run(tmp_path, "sweep", other, name="other")
+    for command in ("price", "greeks", "cva"):
+        run(tmp_path, command, {"grid": FAST_GRID}, name=command)
+    _, last = run(tmp_path, "sweep", SWEEP_CFG, name="last")
+    assert (first / "sweep.csv").read_bytes() == (last / "sweep.csv").read_bytes()
 
 
-@pytest.mark.parametrize("value", ["zero", "0", "-2"])
-def test_bad_worker_env_exits_2(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("XVAPDE_MAX_WORKERS", value)
-    code, _ = run(tmp_path, "sweep", SWEEP_CFG)
+@pytest.mark.parametrize("values, path", [
+    (["zero"], r"sweep\.values\[0\]"),
+    ([0.01, True], r"sweep\.values\[1\]"),
+    ([0.02, 0.01], "strictly increasing"),
+], ids=["string", "boolean", "decreasing"])
+def test_bad_sweep_values_exit_2(tmp_path, capsys, values, path):
+    cfg = {"grid": FAST_GRID, "sweep": {"parameter": "lambda_C", "values": values}}
+    code, _ = run(tmp_path, "sweep", cfg)
     assert code == 2
-    assert "XVAPDE_MAX_WORKERS" in capsys.readouterr().err
+    assert re.search(path, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("grid", "n_space", 60.7, "must be an integer"),
+    ("grid", "n_time", True, "must be a number"),
+    ("grid", "horizon", False, "must be a number"),
+    ("params", "sigma", True, "must be a number"),
+    ("params", "lambda_C", "high", "must be a number"),
+], ids=["fractional-count", "boolean-count", "boolean-float", "boolean-param", "string-param"])
+def test_non_integral_and_boolean_numbers_exit_2(tmp_path, capsys, section, key, value,
+                                                 message):
+    cfg = {"grid": dict(FAST_GRID)}
+    cfg.setdefault(section, {})[key] = value
+    code, _ = run(tmp_path, "price", cfg)
+    assert code == 2
+    assert f"error: {section}.{key} {message}" in capsys.readouterr().err
+
+
+def test_integral_floats_are_counts():
+    resolved = cli.resolve_config({"grid": {"n_space": 60.0, "n_time": 30}})
+    assert cli.build_problem(resolved).grid.n_space == 60

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,13 +27,25 @@ from xvapde import (
     payoff,
     positive_exposure_rate,
     solve,
+    solve_pairs,
+    solve_stack,
     stability_bound,
     step,
     step_coefficients,
     turnover_factor,
 )
 
-from helpers import STRIKE, desk_grid, desk_params, desk_problem
+from xvapde.instrument import BOUNDARY_MODES
+
+from helpers import (
+    STRIKE,
+    X_MINUS,
+    X_PLUS,
+    desk_grid,
+    desk_params,
+    desk_problem,
+    serial_solve,
+)
 
 # regression pins for the desk call at the node nearest the strike (tau = T);
 # identical hardware reruns reproduce these to the last bit, the tolerance
@@ -234,6 +247,17 @@ def test_single_step_equals_the_first_surface_level():
     np.testing.assert_array_equal(first, surf.values[1])
 
 
+def test_one_step_of_a_sub_stepped_grid_equals_its_surface_level():
+    prob = desk_problem(grid=desk_grid(n_space=60, n_time=7))
+    surf = solve(prob)
+    np.testing.assert_array_equal(step(surf.values[3], 3, prob), surf.values[4])
+
+
+def test_solve_equals_the_per_level_reference_march():
+    for prob in (desk_problem(), desk_problem(grid=desk_grid(n_space=400, n_time=50))):
+        np.testing.assert_array_equal(solve(prob).values, serial_solve(prob))
+
+
 def test_condition1_is_enforced_on_the_variant_filtered_parameters():
     # BKTC keeps C_S, so a vol below the cost floor is ill-posed...
     with pytest.raises(WellPosednessViolation):
@@ -298,3 +322,95 @@ def test_surface_csv_round_trips_exactly(tmp_path):
     np.testing.assert_array_equal(back, surf.values)
     taus_back = np.array([float(row[0]) for row in rows[2:]])
     np.testing.assert_array_equal(taus_back, surf.taus)
+
+
+# --- Stacked marches ---
+
+@st.composite
+def stacks(draw):
+    """Two to five problems on one small grid, each with its own random
+    parameters, variant, payoff, drift mode and wall recipe, so members
+    land in different sub-step groups."""
+    spec = GridSpec(x_minus=X_MINUS, x_plus=X_PLUS, x_star=math.log(STRIKE),
+                    alpha=(X_PLUS - X_MINUS) / draw(st.floats(2.0, 20.0)),
+                    n_space=draw(st.integers(4, 40)), n_time=draw(st.integers(1, 8)),
+                    horizon=draw(st.floats(0.1, 2.0)))
+    members = []
+    for _ in range(draw(st.integers(2, 5))):
+        sigma, dt = draw(st.floats(0.05, 0.5)), draw(st.floats(1e-3, 0.05))
+        params = desk_params(
+            r=draw(st.floats(0.0, 0.1)), q_S=draw(st.floats(0.0, 0.08)),
+            gamma_S=draw(st.floats(0.0, 0.08)), sigma=sigma, dt=dt,
+            s_F=draw(st.floats(0.0, 0.05)), lambda_B=draw(st.floats(0.0, 0.1)),
+            lambda_C=draw(st.floats(0.0, 0.1)), R_B=draw(st.floats(0.0, 1.0)),
+            R_C=draw(st.floats(0.0, 1.0)), C_B=draw(st.floats(0.0, 0.01)),
+            C_C=draw(st.floats(0.0, 0.01)),
+            C_S=draw(st.floats(0.0, 0.9)) * sigma / turnover_factor(dt))
+        members.append(Problem(
+            params=params, variant=draw(st.sampled_from(ModelVariant)), grid=spec,
+            instrument=Instrument(draw(st.sampled_from(("call", "put"))), STRIKE),
+            boundary_mode=draw(st.sampled_from(BOUNDARY_MODES)),
+            drift_discretization=draw(st.sampled_from(("forward", "upwind")))))
+    return members
+
+
+def _lone(prob):
+    """A problem's own one-member solve: its values, or the error it raised."""
+    try:
+        return solve(prob).values
+    except (WellPosednessViolation, NonFiniteValue) as exc:
+        return exc
+
+
+@given(members=stacks(), ill_posed_at=st.none() | st.integers(0, 5),
+       time_index=st.integers(-1, 1))
+@settings(max_examples=60, deadline=None)
+def test_stacked_march_equals_each_lone_solve(members, ill_posed_at, time_index):
+    """Each member of a stacked march is bit for bit its own one-member
+    solve and the per-level reference march; a member that breaks
+    condition 1 gets its error in its own slot while the others solve."""
+    if ill_posed_at is not None:
+        members.insert(min(ill_posed_at, len(members)),
+                       desk_problem(sigma=0.02, grid=members[0].grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)
+        stacked = solve_stack(members, time_index=None)
+        rows = solve_stack(members, time_index=time_index)
+        for prob, values, row in zip(members, stacked, rows):
+            lone = _lone(prob)
+            if isinstance(lone, Exception):
+                assert type(values) is type(lone) and str(values) == str(lone)
+                assert type(row) is type(lone)
+                continue
+            np.testing.assert_array_equal(values, lone)
+            np.testing.assert_array_equal(values, serial_solve(prob))
+            np.testing.assert_array_equal(row, lone[time_index])
+    if ill_posed_at is not None:
+        assert isinstance(stacked[min(ill_posed_at, len(members) - 1)], WellPosednessViolation)
+
+
+def test_a_non_finite_member_does_not_poison_its_stack():
+    """Without sub-steps sigma = 0.4 blows up on the desk grid (sigma = 0.3
+    only reaches ~1e297) while sigma = 0.1 stays stable; stacked together,
+    each keeps its lone result."""
+    stable, unstable = desk_problem(sigma=0.1), desk_problem(sigma=0.4)
+    with pytest.raises(NonFiniteValue) as lone:
+        solve(unstable, substep=False)
+    for members in ([stable, unstable], [unstable, stable]):
+        outs = solve_stack(members, time_index=None, substep=False)
+        bad, good = outs[members.index(unstable)], outs[members.index(stable)]
+        assert isinstance(bad, NonFiniteValue)
+        assert (bad.step, bad.node) == (lone.value.step, lone.value.node)
+        np.testing.assert_array_equal(good, solve(stable, substep=False).values)
+
+
+def test_pairs_subtract_and_report_their_first_failure():
+    base = desk_problem(grid=desk_grid(n_time=20))
+    rf = desk_problem(variant=ModelVariant.RISK_FREE, grid=base.grid)
+    ill = desk_problem(sigma=0.02, grid=base.grid)
+    ok, failed = solve_pairs([(base, rf), (ill, rf)])
+    first, second, diff = ok
+    np.testing.assert_array_equal(first, solve(base).terminal)
+    np.testing.assert_array_equal(second, solve(rf).terminal)
+    np.testing.assert_array_equal(diff, first - second)
+    assert isinstance(failed, WellPosednessViolation)
