@@ -5,7 +5,10 @@ mapping back: Delta = V_x / S, Gamma = (V_xx - V_x) / S^2. Interior nodes
 use the nonuniform central stencils, the two walls one-sided ones. Vega and
 Rho are plain central differences of bumped re-solves: sigma (or r) is
 bumped everywhere it appears, including the cost terms, while q_S stays
-put. The bumped variants march together in one stack.
+put. The bumped variants march together in one stack. Each up/down pair
+marches at the larger sub-step count of the two, so a bump that crosses
+the stability bound cannot put two time-truncation errors into the
+difference; the base solve keeps its own sub-step count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .csvio import fmt, write_rows
 from .errors import WellPosednessViolation
 from .grid import build_space_grid, build_time_grid
 from .model import ModelParams
-from .solver import Problem, Surface, solve_pairs, solve_stack, solved
+from .solver import Problem, Surface, _solve_stack, solved
 
 __all__ = ["GreeksReport", "HedgeNotionals", "delta_gamma", "bump_greek",
            "greeks_report", "hedge_notionals"]
@@ -110,10 +113,12 @@ def bump_greek(prob: Problem, which: str, eps: float | None = None,
 
     which = "vega" bumps sigma, "rho" bumps r. The down-bump must leave the
     parameters valid; for vega that means sigma - eps must stay above the
-    condition-1 cost floor, else WellPosednessViolation.
+    condition-1 cost floor, else WellPosednessViolation. Both bumps march
+    at the larger sub-step count of the two.
     """
     eps, up, dn = _bumped(prob, which, eps)
-    return solved(solve_pairs([(up, dn)], time_index)[0])[2] / (2.0 * eps)
+    up, dn = (solved(row) for row in _solve_stack([up, dn], time_index, ties=[(0, 1)]))
+    return (up - dn) / (2.0 * eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +142,14 @@ def greeks_report(prob: Problem, eps_sigma: float = 1e-3, eps_r: float = 1e-4,
                   time_index: int = -1) -> GreeksReport:
     """Delta/Gamma from the base solve, Vega/Rho from four bumped ones.
 
-    The five solves march together, keeping only the chosen tau level.
+    The five solves march together, keeping only the chosen tau level;
+    each bump pair marches at the larger sub-step count of its two, as in
+    ``bump_greek``.
     """
     eps_sigma, sigma_up, sigma_dn = _bumped(prob, "vega", eps_sigma)
     eps_r, r_up, r_dn = _bumped(prob, "rho", eps_r)
-    base, s_up, s_dn, up, dn = (solved(row) for row in solve_stack(
-        [prob, sigma_up, sigma_dn, r_up, r_dn], time_index))
+    base, s_up, s_dn, up, dn = (solved(row) for row in _solve_stack(
+        [prob, sigma_up, sigma_dn, r_up, r_dn], time_index, ties=[(1, 2), (3, 4)]))
     grid = build_space_grid(prob.grid)
     delta, gamma = _delta_gamma_row(base, grid)
     return GreeksReport(spots=grid.spots, delta=delta, gamma=gamma,

@@ -24,16 +24,18 @@ tau once: the condition checks and warnings, the grid, the sub-step count
 and size, the weights (a, b, c), the three source rates and the wall
 curves. The march then only does arithmetic, on a (members x nodes) stack:
 ``solve`` marches a stack of one, ``solve_stack`` and ``solve_pairs`` march
-many variants together. Members share a stack only when they share a grid
-and a sub-step count, so every member keeps its own nsub, and each one's
-numbers are exactly those of its lone solve.
+many variants together. Members share a stack when they share a grid, and
+each keeps its own nsub: the stack is ordered by nsub, largest first, and
+sub-step j of a level updates only the rows whose nsub exceeds j. So a
+level costs the largest nsub in sub-step calls, and each member's numbers
+are exactly those of its lone solve.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -159,11 +161,18 @@ def nonlinear_source(rows: np.ndarray, grid: SpaceGrid, p) -> np.ndarray:
     """
     pos_rate, neg_rate, cost_rate = source_rates(p) if isinstance(p, ModelParams) else p
     pos = np.maximum(rows, 0.0)
-    neg = np.minimum(rows, 0.0)
-    slope = (pos[..., 2:] - pos[..., 1:-1]) / grid.h[1:]
-    return (pos_rate * pos[..., 1:-1]
-            + neg_rate * neg[..., 1:-1]
-            + cost_rate * np.abs(slope))
+    # pos_rate*U + neg_rate*min(V, 0) + cost_rate*|U_x|, summed in that
+    # order, with the temporaries reused in place
+    slope = pos[..., 2:] - pos[..., 1:-1]
+    slope /= grid.h[1:]
+    np.abs(slope, out=slope)
+    slope *= cost_rate
+    neg = np.minimum(rows[..., 1:-1], 0.0)
+    neg *= neg_rate
+    out = pos_rate * pos[..., 1:-1]
+    out += neg
+    out += slope
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +215,24 @@ def _check_conditions(prob: Problem, p: ModelParams) -> None:
             ModelAssumptionWarning, stacklevel=3)
 
 
+def _check_monotone(grid: SpaceGrid, a: np.ndarray, c: np.ndarray) -> None:
+    """Warn when a neighbour weight is negative: the step is then not monotone.
+
+    The sub-step count keeps b >= 0. a and c only go negative when the
+    forward-differenced drift is negative and outruns the diffusion, and no
+    sub-step count helps, because both scale with the step.
+    """
+    bad = np.flatnonzero(np.minimum(a, c) < 0.0)
+    if bad.size:
+        k = int(bad[0])
+        name, value = ("a", a[k]) if a[k] < 0.0 else ("c", c[k])
+        warnings.warn(
+            f"non-monotone explicit step: {name} = {value:.6g} < 0 at node {k + 1} "
+            f"(S = {grid.spots[k + 1]:.6g}), so prices may leave their payoff's "
+            "bounds; drift_discretization='upwind' keeps a and c nonnegative",
+            ModelAssumptionWarning, stacklevel=3)
+
+
 def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> Plan:
     """Check the problem and build everything its march needs, once.
 
@@ -226,76 +253,127 @@ def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> 
             nsub = max(1, math.ceil(dtau / bound))
     delta = dtau / nsub
     a, b, c = step_coefficients(grid, p, delta, prob.drift_discretization)
+    _check_monotone(grid, a, c)
     return Plan(grid=grid, dtau=dtau, nsub=nsub, delta=delta, a=a, b=b, c=c,
                 rates=source_rates(p),
                 walls=boundary_curves(prob.instrument, grid, p, prob.boundary_mode),
                 start=payoff(prob.instrument, grid))
 
 
-def _walls(plans, dtau: float, nsub: int, delta: float, levels) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) wall values, (sub-steps x members), over the given levels."""
-    # land the final sub-step of each level exactly on the reporting level
-    taus = [(m + 1) * dtau if j == nsub else m * dtau + j * delta
-            for m in levels for j in range(1, nsub + 1)]
-    walls = [pl.walls(taus) for pl in plans]
-    return np.array([w[0] for w in walls]).T, np.array([w[1] for w in walls]).T
+def _at_nsub(pl: Plan, prob: Problem, nsub: int) -> Plan:
+    """The plan of ``prob`` with its levels split into ``nsub`` sub-steps."""
+    delta = pl.dtau / nsub
+    a, b, c = step_coefficients(pl.grid, prob.effective_params(), delta,
+                                prob.drift_discretization)
+    return replace(pl, nsub=nsub, delta=delta, a=a, b=b, c=c)
+
+
+def _walls(plans, dtau: float, levels, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) wall values, (levels x width x members), over the given levels.
+
+    Each member's sub-step taus come from its own nsub and delta; the slots
+    past a member's nsub are padding its march never reads.
+    """
+    lo = np.zeros((len(levels), width, len(plans)))
+    hi = np.zeros_like(lo)
+    taus: dict[int, list] = {}  # nsub -> sub-step taus; delta is dtau / nsub
+    for r, pl in enumerate(plans):
+        nsub, delta = pl.nsub, pl.delta
+        if nsub not in taus:
+            # land the final sub-step of each level exactly on the reporting level
+            taus[nsub] = [(m + 1) * dtau if j == nsub else m * dtau + j * delta
+                          for m in levels for j in range(1, nsub + 1)]
+        w_lo, w_hi = pl.walls(taus[nsub])
+        lo[:, :nsub, r] = w_lo.reshape(len(levels), nsub)
+        hi[:, :nsub, r] = w_hi.reshape(len(levels), nsub)
+    return lo, hi
 
 
 def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> list:
     """March a stack from level ``first`` to level ``last``.
 
-    The plans share one grid and one nsub; ``rows`` holds one row per plan.
-    ``keep`` is the level to return, or None for every level from
-    ``first`` on. One outcome per plan: the kept values, or the
+    The plans share one grid; ``rows`` holds one row per plan. Each member
+    keeps its own nsub, delta, weights, rates and walls. The stack is
+    ordered by nsub, largest first, so sub-step slot j of a level updates
+    only the prefix of rows whose nsub exceeds j: a level costs the largest
+    nsub in sub-step calls, and each row does exactly the arithmetic of its
+    lone march. ``keep`` is the level to return, or None for every level
+    from ``first`` on. One outcome per plan: the kept values, or the
     NonFiniteValue that stopped it. A member that stops leaves the stack
     and the others march on.
     """
-    lead = plans[0]
-    grid, dtau, nsub, delta = lead.grid, lead.dtau, lead.nsub, lead.delta
+    grid, dtau = plans[0].grid, plans[0].dtau
+    live = sorted(range(len(plans)), key=lambda i: -plans[i].nsub)  # stack row -> plan index
+    plans = [plans[i] for i in live]
     # wall data is made a block of levels at a time: one call per member
     # per block, without holding every sub-step of a fine grid at once
-    block = max(1, _WALL_BLOCK // nsub)
-    a = np.array([pl.a for pl in plans])
-    b = np.array([pl.b for pl in plans])
-    c = np.array([pl.c for pl in plans])
-    rates = tuple(np.array([[pl.rates[k]] for pl in plans]) for k in range(3))
+    block = max(1, _WALL_BLOCK // plans[0].nsub)
+    nsubs = np.array([pl.nsub for pl in plans])
+    # a, b, c, delta and the three source rates: one row or column per member
+    data = [np.array([pl.a for pl in plans]), np.array([pl.b for pl in plans]),
+            np.array([pl.c for pl in plans]), np.array([[pl.delta] for pl in plans]),
+            *(np.array([[pl.rates[k]] for pl in plans]) for k in range(3))]
 
-    live = list(range(len(plans)))   # stack row -> plan index
+    def prefixes():
+        """Per sub-step slot: the active row count and their slices of data."""
+        return [(n, *(d[:n] for d in data[:4]), tuple(d[:n] for d in data[4:]))
+                for n in (int((nsubs > j).sum()) for j in range(nsubs[0]))]
+
+    slots = prefixes()
     out: list = [None] * len(plans)
-    x = np.array(rows, dtype=float)
+    x = np.asarray(rows, dtype=float)[live]
     levels = None
     if keep is None:
         levels = np.empty((len(plans), last - first + 1, x.shape[1]))
         levels[:, 0] = x
     elif keep == first:
-        out = list(x.copy())
+        for r, row in zip(live, x):
+            out[r] = row.copy()
     # non-finiteness is detected below; let an unstable march overflow quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(first, last):
             if (m - first) % block == 0:
-                lo, hi = _walls([plans[r] for r in live], dtau, nsub, delta,
-                                range(m, min(m + block, last)))
-                s = 0
-            for _ in range(nsub):
-                nxt = np.empty_like(x)
-                nxt[:, 1:-1] = (a * x[:, :-2] + b * x[:, 1:-1] + c * x[:, 2:]
-                                - delta * nonlinear_source(x, grid, rates))
-                nxt[:, 0] = lo[s]
-                nxt[:, -1] = hi[s]
-                s += 1
+                lo, hi = _walls(plans, dtau, range(m, min(m + block, last)), len(slots))
+                t = 0
+            j = 0
+            while j < len(slots):
+                n, a, b, c, delta, rates = slots[j]
+                every = n == len(x)
+                prefix = x if every else x[:n]
+                # a*x[i-1] + b*x[i] + c*x[i+1] - delta*source, summed in that
+                # order with the temporaries reused in place
+                inner = a * prefix[:, :-2]
+                inner += b * prefix[:, 1:-1]
+                inner += c * prefix[:, 2:]
+                source = nonlinear_source(prefix, grid, rates)
+                source *= delta
+                inner -= source
+                nxt = np.empty_like(prefix)
+                nxt[:, 1:-1] = inner
+                nxt[:, 0] = lo[t, j, :n]
+                nxt[:, -1] = hi[t, j, :n]
+                if every:
+                    x = nxt
+                else:
+                    x[:n] = nxt
+                j += 1
                 finite = np.isfinite(nxt)
                 if not finite.all():
-                    ok = finite.all(axis=1)
+                    ok = np.ones(len(x), dtype=bool)
+                    ok[:n] = finite.all(axis=1)
                     for r in np.flatnonzero(~ok):
                         out[live[r]] = NonFiniteValue(m, int(np.argmax(~finite[r])))
                     live = [live[r] for r in np.flatnonzero(ok)]
                     if not live:
                         return out
-                    nxt, a, b, c, lo, hi = nxt[ok], a[ok], b[ok], c[ok], lo[:, ok], hi[:, ok]
-                    rates = tuple(q[ok] for q in rates)
+                    plans = [pl for pl, kept in zip(plans, ok) if kept]
+                    x, nsubs, lo, hi = x[ok], nsubs[ok], lo[..., ok], hi[..., ok]
+                    data = [d[ok] for d in data]
                     if levels is not None:
                         levels = levels[ok]
-                x = nxt
+                    # the slots left in this level march the smaller stack
+                    slots = prefixes()
+            t += 1
             if levels is not None:
                 levels[:, m + 1 - first] = x
             elif m + 1 == keep:
@@ -343,25 +421,39 @@ def solve_stack(problems, time_index: int | None = -1, substep: bool = True) -> 
     An outcome is the problem's row at level ``time_index`` (every level
     when it is None), or the EngineError that stopped that problem alone:
     a broken condition 1 at planning, or NonFiniteValue in the march.
-    Problems march together when they share a grid and a sub-step count.
+    Problems that share a grid march in one stack, each at its own nsub.
     """
+    return _solve_stack(problems, time_index, substep)
+
+
+def _solve_stack(problems, time_index: int | None = -1, substep: bool = True,
+                 ties=()) -> list:
+    """``solve_stack``, with ``ties``: tuples of member indices that march at
+    the largest nsub among them, so a difference of two of them carries
+    one time-truncation error. A larger nsub only shrinks the sub-step."""
     out: list = [None] * len(problems)
     grids: dict[GridSpec, SpaceGrid] = {}
-    groups: dict[tuple[GridSpec, int], list] = {}
+    plans: dict[int, Plan] = {}
     for i, prob in enumerate(problems):
         try:
             if prob.grid not in grids:
                 grids[prob.grid] = build_space_grid(prob.grid)
-            pl = plan(prob, substep, grids[prob.grid])
+            plans[i] = plan(prob, substep, grids[prob.grid])
         except EngineError as exc:
             out[i] = exc
-            continue
-        groups.setdefault((prob.grid, pl.nsub), []).append((i, pl))
-    for (spec, _), members in groups.items():
-        index, plans = zip(*members)
+    for tie in ties:
+        tied = [i for i in tie if i in plans]
+        nsub = max((plans[i].nsub for i in tied), default=1)
+        for i in tied:
+            if plans[i].nsub < nsub:
+                plans[i] = _at_nsub(plans[i], problems[i], nsub)
+    groups: dict[GridSpec, list] = {}
+    for i in plans:
+        groups.setdefault(problems[i].grid, []).append(i)
+    for spec, index in groups.items():
         keep = None if time_index is None else range(spec.n_time + 1)[time_index]
-        rows = np.array([pl.start for pl in plans])
-        for i, res in zip(index, _march(plans, rows, 0, spec.n_time, keep)):
+        rows = np.array([plans[i].start for i in index])
+        for i, res in zip(index, _march([plans[i] for i in index], rows, 0, spec.n_time, keep)):
             out[i] = res
     return out
 

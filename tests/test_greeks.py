@@ -21,6 +21,7 @@ from xvapde import (
     hedge_notionals,
     solve,
 )
+from xvapde import solver
 
 from helpers import STRIKE, desk_grid, desk_params, desk_problem
 
@@ -158,6 +159,26 @@ def test_rho_bumps_the_rate_not_the_financing_spread():
     itm = g.spots > STRIKE
     assert float(rho[itm].min()) < -1e-3
     assert float(rho.max()) <= 1e-3
+
+
+def test_vega_bumps_across_a_sub_step_boundary_share_one_nsub():
+    """At N = 400, sigma = 0.10325 +- 1e-4 straddles the step from nsub 3
+    to 4. Marched at their own counts the two bumps carry different
+    time-truncation errors and vega drops 2.3% below its neighbours; tied
+    to the larger count it reads like them."""
+    grid = desk_grid(n_space=400)
+    i = build_space_grid(grid).nearest_index(math.log(STRIKE))
+    crossing = desk_problem(grid=grid, sigma=0.10325)
+    up = solver.plan(desk_problem(grid=grid, sigma=0.10335)).nsub
+    dn = solver.plan(desk_problem(grid=grid, sigma=0.10315)).nsub
+    assert up != dn
+    vega = bump_greek(crossing, "vega", eps=1e-4)
+    for sigma in (0.1031, 0.1034):
+        near = float(bump_greek(desk_problem(grid=grid, sigma=sigma), "vega", eps=1e-4)[i])
+        assert abs(float(vega[i]) - near) <= 1e-3 * abs(near)
+    report = greeks_report(crossing, eps_sigma=1e-4, eps_r=1e-4)
+    np.testing.assert_array_equal(report.vega, vega)
+    np.testing.assert_array_equal(report.rho, bump_greek(crossing, "rho", eps=1e-4))
 
 
 # --- Reports ---

@@ -35,6 +35,7 @@ from xvapde import (
     turnover_factor,
 )
 
+from xvapde import solver
 from xvapde.instrument import BOUNDARY_MODES
 
 from helpers import (
@@ -294,6 +295,36 @@ def test_desk_scenario_is_warning_free():
         solve(desk_problem(grid=desk_grid(n_time=4)))
 
 
+@pytest.mark.parametrize("n_space, floor", [(10, -0.2), (20, -0.02)])
+def test_non_monotone_forward_drift_warns_at_its_first_node(n_space, floor):
+    """A negative drift differenced forward outruns the diffusion on coarse
+    grids: c < 0, and the call price goes negative. The warning names the
+    first offending node and the weight; the numbers stay as they were."""
+    prob = desk_problem(q_S=0.0, gamma_S=0.06, grid=desk_grid(n_space=n_space))
+    with pytest.warns(ModelAssumptionWarning, match="non-monotone") as caught:
+        pl = solver.plan(prob)
+    k = int(np.flatnonzero(np.minimum(pl.a, pl.c) < 0.0)[0])
+    message = str(caught[0].message)
+    assert f"c = {pl.c[k]:.6g} < 0 at node {k + 1}" in message
+    assert "upwind" in message
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)
+        values = solve(prob).values
+    assert values.min() < floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        upwind = solve(Problem(params=prob.params, variant=prob.variant, grid=prob.grid,
+                               instrument=prob.instrument, drift_discretization="upwind"))
+    assert upwind.values.min() >= 0.0
+
+
+def test_desk_grid_step_is_monotone():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pl = solver.plan(desk_problem())
+    assert min(pl.a.min(), pl.c.min()) >= 0.0
+
+
 # --- Surface utilities ---
 
 def test_value_near_spot_reports_the_node_and_value():
@@ -414,3 +445,59 @@ def test_pairs_subtract_and_report_their_first_failure():
     np.testing.assert_array_equal(second, solve(rf).terminal)
     np.testing.assert_array_equal(diff, first - second)
     assert isinstance(failed, WellPosednessViolation)
+
+
+def _sigma_sweep_stack():
+    """The desk sigma sweep 0.1 -> 0.3 with its RiskFree twins: members at
+    every sub-step count from 1 to 9."""
+    members = []
+    for sigma in np.linspace(0.1, 0.3, 8):
+        prob = desk_problem(sigma=float(sigma))
+        members += [prob, desk_problem(variant=ModelVariant.RISK_FREE, sigma=float(sigma))]
+    return members
+
+
+def test_one_source_call_per_sub_step_slot(monkeypatch):
+    """Members with different sub-step counts share every sub-step call: a
+    level costs the largest nsub in source calls, not the sum over nsubs."""
+    members = _sigma_sweep_stack()
+    nsubs = [solver.plan(prob).nsub for prob in members]
+    assert set(nsubs) == set(range(1, 10))
+    calls = []
+    source = solver.nonlinear_source
+    monkeypatch.setattr(solver, "nonlinear_source",
+                        lambda rows, grid, p: calls.append(len(rows)) or source(rows, grid, p))
+    solve_stack(members)
+    n_time = members[0].grid.n_time
+    assert len(calls) == n_time * 9
+    # slot j of each level updates the members whose nsub exceeds j
+    per_level = [sum(nsub > j for nsub in nsubs) for j in range(9)]
+    assert calls == per_level * n_time
+
+
+def test_a_blow_up_inside_a_mixed_stack_stays_in_its_slot():
+    """A member at nsub 4 whose huge exposure rates overflow the source
+    marches between members with larger and smaller nsub: it gets its lone
+    error, and every other member its lone values."""
+    blow = desk_problem(sigma=0.2, s_F=1e4, lambda_B=1e4)
+    wide, narrow = desk_problem(sigma=0.3), desk_problem(sigma=0.1)
+    rf = desk_problem(variant=ModelVariant.RISK_FREE, sigma=0.25)
+    members = [wide, blow, rf, narrow]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)
+        nsubs = [solver.plan(prob).nsub for prob in members]
+        assert nsubs[0] > nsubs[1] == 4 > nsubs[3]
+        with pytest.raises(NonFiniteValue) as lone:
+            solve(blow)
+        assert (lone.value.step, lone.value.node) == (85, 95)
+        lone_values = {k: solve(members[k]).values for k in (0, 2, 3)}
+        for k, values in lone_values.items():
+            np.testing.assert_array_equal(values, serial_solve(members[k]))
+        for time_index in (None, -1):
+            outs = solve_stack(members, time_index=time_index)
+            bad = outs[1]
+            assert isinstance(bad, NonFiniteValue)
+            assert (bad.step, bad.node) == (85, 95)
+            for k, values in lone_values.items():
+                want = values if time_index is None else values[time_index]
+                np.testing.assert_array_equal(outs[k], want)
