@@ -137,10 +137,14 @@ def negative_exposure_rate(p: ModelParams) -> float:
 
 
 def effective_rates(p: ModelParams) -> tuple[float, float]:
-    """(r_1, r_2): discount rates of the one-sided linear regimes.
+    """(r_1, r_2): the rates condition 4 is built on.
 
-    r_1 = r - [s_F + lambda_C*(1-R_C)] governs all-positive solutions,
-    r_2 = r - (lambda_B - r*C_B)*(1-R_B) all-negative ones.
+    r_1 = r - [s_F + lambda_C*(1-R_C)] and r_2 = r - (lambda_B - r*C_B)*(1-R_B),
+    the risk-free rate less the positive and the negative exposure rate.
+    They are not the discount rates of the march: an all-positive solution
+    is discounted at r + [s_F + lambda_C*(1-R_C)] (the source adds the
+    positive exposure rate to r), and an all-negative one at
+    r + (lambda_B - r*C_B)*(1-R_B).
     """
     return p.r - positive_exposure_rate(p), p.r - negative_exposure_rate(p)
 

@@ -29,6 +29,14 @@ each keeps its own nsub: the stack is ordered by nsub, largest first, and
 sub-step j of a level updates only the rows whose nsub exceeds j. So a
 level costs the largest nsub in sub-step calls, and each member's numbers
 are exactly those of its lone solve.
+
+A sub-step allocates nothing: each stack gets fixed buffers once, and
+views of them for every sub-step are built up front, so a sub-step is a
+fixed list of numpy calls writing through ``out=``. Finiteness is checked
+once per level. A member whose level turned non-finite has that level
+replayed alone from its saved start row, with a check after every
+sub-step, so its NonFiniteValue names the same step and node a check
+after every sub-step would.
 """
 
 from __future__ import annotations
@@ -159,17 +167,33 @@ def nonlinear_source(rows: np.ndarray, grid: SpaceGrid, p) -> np.ndarray:
     differences the positive part forward, matching the upper-wall side
     where a call's exposure lives.
     """
-    pos_rate, neg_rate, cost_rate = source_rates(p) if isinstance(p, ModelParams) else p
-    pos = np.maximum(rows, 0.0)
-    # pos_rate*U + neg_rate*min(V, 0) + cost_rate*|U_x|, summed in that
-    # order, with the temporaries reused in place
-    slope = pos[..., 2:] - pos[..., 1:-1]
-    slope /= grid.h[1:]
+    rates = source_rates(p) if isinstance(p, ModelParams) else p
+    rows = np.asarray(rows, dtype=float)
+    pos, inner = np.empty_like(rows), rows[..., 1:-1]
+    out, slope, neg = (np.empty_like(inner) for _ in range(3))
+    return _source_into(out, rows, inner, pos, pos[..., 1:-1], pos[..., 2:], slope, neg,
+                        grid.h[1:], *rates)
+
+
+def _source_into(out, x, x_in, pos, pos_in, pos_up, slope, neg, h, pos_rate, neg_rate,
+                 cost_rate):
+    """The source of rows ``x`` (interior ``x_in``), written into ``out``.
+
+    pos_rate*U + neg_rate*min(V, 0) + cost_rate*|U_x|, summed in that
+    order. ``pos`` is scratch shaped like ``x``, with ``pos_in`` and
+    ``pos_up`` its views at the interior nodes and their upper neighbours;
+    ``slope`` and ``neg`` are scratch shaped like ``out``; ``h`` is the
+    forward spacing at the interior nodes. ``nonlinear_source`` and the
+    march both evaluate the source here.
+    """
+    np.maximum(x, 0.0, out=pos)
+    np.subtract(pos_up, pos_in, out=slope)
+    slope /= h
     np.abs(slope, out=slope)
     slope *= cost_rate
-    neg = np.minimum(rows[..., 1:-1], 0.0)
+    np.minimum(x_in, 0.0, out=neg)
     neg *= neg_rate
-    out = pos_rate * pos[..., 1:-1]
+    np.multiply(pos_rate, pos_in, out=out)
     out += neg
     out += slope
     return out
@@ -215,12 +239,15 @@ def _check_conditions(prob: Problem, p: ModelParams) -> None:
             ModelAssumptionWarning, stacklevel=3)
 
 
-def _check_monotone(grid: SpaceGrid, a: np.ndarray, c: np.ndarray) -> None:
+def _check_monotone(grid: SpaceGrid, a: np.ndarray, c: np.ndarray, sink: np.ndarray) -> None:
     """Warn when a neighbour weight is negative: the step is then not monotone.
 
     The sub-step count keeps b >= 0. a and c only go negative when the
-    forward-differenced drift is negative and outruns the diffusion, and no
-    sub-step count helps, because both scale with the step.
+    forward-differenced drift is negative and outruns the diffusion. The
+    cost sink differences U forward, so where U_x > 0, as for a call, it
+    moves ``sink`` = delta*kappa/h_f off c: c - sink < 0 exactly when
+    sig_hat^2/(h_b + h_f) + drift < kappa. No sub-step count helps either
+    case, because every term scales with the step.
     """
     bad = np.flatnonzero(np.minimum(a, c) < 0.0)
     if bad.size:
@@ -231,6 +258,14 @@ def _check_monotone(grid: SpaceGrid, a: np.ndarray, c: np.ndarray) -> None:
             f"(S = {grid.spots[k + 1]:.6g}), so prices may leave their payoff's "
             "bounds; drift_discretization='upwind' keeps a and c nonnegative",
             ModelAssumptionWarning, stacklevel=3)
+    bad = np.flatnonzero((c >= 0.0) & (c - sink < 0.0))
+    if bad.size:
+        k = int(bad[0])
+        warnings.warn(
+            f"non-monotone explicit step: c - delta*kappa/h_f = {c[k] - sink[k]:.6g} < 0 "
+            f"at node {k + 1} (S = {grid.spots[k + 1]:.6g}): the counterparty-bond cost "
+            "sink kappa*|U_x| outweighs the upper neighbour's weight where U_x > 0, so a "
+            "call price may turn negative", ModelAssumptionWarning, stacklevel=3)
 
 
 def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> Plan:
@@ -253,9 +288,9 @@ def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> 
             nsub = max(1, math.ceil(dtau / bound))
     delta = dtau / nsub
     a, b, c = step_coefficients(grid, p, delta, prob.drift_discretization)
-    _check_monotone(grid, a, c)
-    return Plan(grid=grid, dtau=dtau, nsub=nsub, delta=delta, a=a, b=b, c=c,
-                rates=source_rates(p),
+    rates = source_rates(p)
+    _check_monotone(grid, a, c, delta * rates[2] / grid.h[1:])
+    return Plan(grid=grid, dtau=dtau, nsub=nsub, delta=delta, a=a, b=b, c=c, rates=rates,
                 walls=boundary_curves(prob.instrument, grid, p, prob.boundary_mode),
                 start=payoff(prob.instrument, grid))
 
@@ -268,14 +303,13 @@ def _at_nsub(pl: Plan, prob: Problem, nsub: int) -> Plan:
     return replace(pl, nsub=nsub, delta=delta, a=a, b=b, c=c)
 
 
-def _walls(plans, dtau: float, levels, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) wall values, (levels x width x members), over the given levels.
+def _walls(plans, dtau: float, levels, width: int) -> np.ndarray:
+    """Wall values, (levels x width x members x 2), lower then upper, over the given levels.
 
     Each member's sub-step taus come from its own nsub and delta; the slots
     past a member's nsub are padding its march never reads.
     """
-    lo = np.zeros((len(levels), width, len(plans)))
-    hi = np.zeros_like(lo)
+    walls = np.zeros((len(levels), width, len(plans), 2))
     taus: dict[int, list] = {}  # nsub -> sub-step taus; delta is dtau / nsub
     for r, pl in enumerate(plans):
         nsub, delta = pl.nsub, pl.delta
@@ -283,10 +317,100 @@ def _walls(plans, dtau: float, levels, width: int) -> tuple[np.ndarray, np.ndarr
             # land the final sub-step of each level exactly on the reporting level
             taus[nsub] = [(m + 1) * dtau if j == nsub else m * dtau + j * delta
                           for m in levels for j in range(1, nsub + 1)]
-        w_lo, w_hi = pl.walls(taus[nsub])
-        lo[:, :nsub, r] = w_lo.reshape(len(levels), nsub)
-        hi[:, :nsub, r] = w_hi.reshape(len(levels), nsub)
-    return lo, hi
+        for k, w in enumerate(pl.walls(taus[nsub])):
+            walls[:, :nsub, r, k] = w.reshape(len(levels), nsub)
+    return walls
+
+
+def _substep(x_lo, x_in, x_up, inner, tmp, walls, a, b, c, delta, source, wall) -> None:
+    """One sub-step of a stack, from prebuilt views of the current rows into the next.
+
+    a*x[i-1] + b*x[i] + c*x[i+1] - delta*source, summed in that order into
+    the next rows' interior ``inner``, with ``tmp`` the one temporary;
+    ``source`` holds the views ``_source_into`` works on, and ``wall`` the
+    (rows x 2) values for the next rows' wall columns ``walls``.
+    """
+    np.multiply(a, x_lo, out=inner)
+    np.multiply(b, x_in, out=tmp)
+    inner += tmp
+    np.multiply(c, x_up, out=tmp)
+    inner += tmp
+    _source_into(tmp, *source)
+    tmp *= delta
+    inner -= tmp
+    np.copyto(walls, wall)
+
+
+def _stack(rows: np.ndarray, nsubs: np.ndarray, data, h: np.ndarray):
+    """Fixed buffers and prebuilt sub-step views for rows that march together.
+
+    ``rows`` (taken over as the first buffer) is ordered by ``nsubs``,
+    largest first; ``data`` holds the members' a, b, c, delta and source
+    rates as (members x nodes) rows, zero-padded at the walls, and ``h``
+    the forward spacing at the interior nodes. Each buffer is read as one
+    flat vector, its rows back to back, so that every operation of a
+    sub-step is one contiguous loop: the values it computes at a row's wall
+    positions mix neighbouring rows, and the walls then overwrite them.
+    Two row buffers take turns: a sub-step reads one and writes the other,
+    and they swap after a sub-step that updates every row, while one on a
+    prefix of the rows copies that prefix back. Returns (buffers, slots,
+    flip): ``slots[q]`` lists a level's sub-steps when it starts in buffer
+    q, each as (views, copy-back or None), and the level ends in buffer
+    q ^ flip.
+    """
+    size, width = rows.shape
+    bufs = (rows, np.empty_like(rows))
+    flat = [buf.reshape(-1) for buf in bufs]
+    pos = np.empty_like(rows)
+    slope, neg, tmp = (np.empty(rows.size - 2) for _ in range(3))
+    hs = np.tile(np.concatenate(([1.0], h, [1.0])), size)[1:-1]
+    views: dict = {}
+
+    def slot(n: int, q: int):
+        """The views of a sub-step on the first n rows that reads buffer q."""
+        if (n, q) not in views:
+            end = n * width
+            x, p = flat[q][:end], pos.reshape(-1)[:end]
+            a, b, c, delta, *rates = (d.reshape(-1)[1:end - 1] for d in data)
+            k = end - 2  # the interior positions of the flat prefix
+            source = (bufs[q][:n], x[1:-1], pos[:n], p[1:-1], p[2:], slope[:k], neg[:k], hs[:k],
+                      *rates)
+            # the wall columns of every row: past n they are scratch no one reads
+            views[n, q] = (x[:-2], x[1:-1], x[2:], flat[1 - q][1:end - 1], tmp[:k],
+                           bufs[1 - q][:, ::width - 1], a, b, c, delta, source)
+        return views[n, q]
+
+    counts = [int((nsubs > j).sum()) for j in range(nsubs[0])]
+    slots = []
+    for q in (0, 1):
+        level = []
+        for n in counts:
+            back = None if n == size else (bufs[q][:n], bufs[1 - q][:n])
+            level.append((slot(n, q), back))
+            if back is None:
+                q ^= 1
+        slots.append(level)
+    return bufs, slots, counts.count(size) % 2
+
+
+def _replay(data, start: np.ndarray, walls: np.ndarray, m: int, nsub: int,
+            h: np.ndarray) -> NonFiniteValue:
+    """The error of one member whose level ``m`` turned non-finite.
+
+    Replays the level alone from its start row on a one-row stack, through
+    the same sub-step code, and checks after every sub-step: the first
+    non-finite node of the first failing sub-step is the one a check after
+    every sub-step of the whole stack would report.
+    """
+    bufs, slots, _ = _stack(start[None, :].copy(), np.array([nsub]), data, h)
+    q = 0
+    for (views, _), wall in zip(slots[0], walls):
+        _substep(*views, wall)
+        q ^= 1
+        bad = ~np.isfinite(bufs[q][0])
+        if bad.any():
+            return NonFiniteValue(m, int(np.argmax(bad)))
+    raise AssertionError(f"level {m} turned non-finite, yet its replay stayed finite")
 
 
 def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> list:
@@ -297,31 +421,39 @@ def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> 
     ordered by nsub, largest first, so sub-step slot j of a level updates
     only the prefix of rows whose nsub exceeds j: a level costs the largest
     nsub in sub-step calls, and each row does exactly the arithmetic of its
-    lone march. ``keep`` is the level to return, or None for every level
-    from ``first`` on. One outcome per plan: the kept values, or the
-    NonFiniteValue that stopped it. A member that stops leaves the stack
-    and the others march on.
+    lone march. A sub-step allocates nothing: it works on fixed buffers
+    through views built once per stack (see ``_stack``).
+
+    Rows never mix, and a non-finite value stays non-finite at every later
+    sub-step (b*x[i] carries it, and a wall reaches its neighbour through a
+    or c), so finiteness is checked once per level, with the level's wall
+    data. A member that fails has its level replayed alone from the saved
+    start row, one checked sub-step at a time (``_replay``), which gives the
+    same NonFiniteValue(step, node) as a check after every sub-step; it
+    then leaves the stack and the others march on.
+
+    ``keep`` is the level to return, or None for every level from ``first``
+    on. One outcome per plan: the kept values, or the NonFiniteValue that
+    stopped it.
     """
-    grid, dtau = plans[0].grid, plans[0].dtau
+    grid, dtau, h = plans[0].grid, plans[0].dtau, plans[0].grid.h[1:]
     live = sorted(range(len(plans)), key=lambda i: -plans[i].nsub)  # stack row -> plan index
     plans = [plans[i] for i in live]
     # wall data is made a block of levels at a time: one call per member
     # per block, without holding every sub-step of a fine grid at once
     block = max(1, _WALL_BLOCK // plans[0].nsub)
     nsubs = np.array([pl.nsub for pl in plans])
-    # a, b, c, delta and the three source rates: one row or column per member
-    data = [np.array([pl.a for pl in plans]), np.array([pl.b for pl in plans]),
-            np.array([pl.c for pl in plans]), np.array([[pl.delta] for pl in plans]),
-            *(np.array([[pl.rates[k]] for pl in plans]) for k in range(3))]
-
-    def prefixes():
-        """Per sub-step slot: the active row count and their slices of data."""
-        return [(n, *(d[:n] for d in data[:4]), tuple(d[:n] for d in data[4:]))
-                for n in (int((nsubs > j).sum()) for j in range(nsubs[0]))]
-
-    slots = prefixes()
+    # a, b, c, delta and the three source rates: one row per member, laid
+    # out on the nodes with zeros at the walls (see ``_stack``)
+    width = len(grid.nodes)
+    data = [np.pad([getattr(pl, w) for pl in plans], ((0, 0), (1, 1))) for w in "abc"]
+    data += [np.repeat([[pl.delta] for pl in plans], width, axis=1),
+             *(np.repeat([[pl.rates[k]] for pl in plans], width, axis=1) for k in range(3))]
     out: list = [None] * len(plans)
-    x = np.asarray(rows, dtype=float)[live]
+    bufs, slots, flip = _stack(np.asarray(rows, dtype=float)[live], nsubs, data, h)
+    q = 0
+    x = bufs[q]
+    saved = np.empty_like(x)
     levels = None
     if keep is None:
         levels = np.empty((len(plans), last - first + 1, x.shape[1]))
@@ -333,46 +465,39 @@ def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(first, last):
             if (m - first) % block == 0:
-                lo, hi = _walls(plans, dtau, range(m, min(m + block, last)), len(slots))
+                walls = _walls(plans, dtau, range(m, min(m + block, last)), nsubs[0])
+                walls_finite = np.isfinite(walls).all(axis=(1, 2, 3))
                 t = 0
-            j = 0
-            while j < len(slots):
-                n, a, b, c, delta, rates = slots[j]
-                every = n == len(x)
-                prefix = x if every else x[:n]
-                # a*x[i-1] + b*x[i] + c*x[i+1] - delta*source, summed in that
-                # order with the temporaries reused in place
-                inner = a * prefix[:, :-2]
-                inner += b * prefix[:, 1:-1]
-                inner += c * prefix[:, 2:]
-                source = nonlinear_source(prefix, grid, rates)
-                source *= delta
-                inner -= source
-                nxt = np.empty_like(prefix)
-                nxt[:, 1:-1] = inner
-                nxt[:, 0] = lo[t, j, :n]
-                nxt[:, -1] = hi[t, j, :n]
-                if every:
-                    x = nxt
-                else:
-                    x[:n] = nxt
-                j += 1
-                finite = np.isfinite(nxt)
-                if not finite.all():
-                    ok = np.ones(len(x), dtype=bool)
-                    ok[:n] = finite.all(axis=1)
-                    for r in np.flatnonzero(~ok):
-                        out[live[r]] = NonFiniteValue(m, int(np.argmax(~finite[r])))
-                    live = [live[r] for r in np.flatnonzero(ok)]
-                    if not live:
-                        return out
-                    plans = [pl for pl, kept in zip(plans, ok) if kept]
-                    x, nsubs, lo, hi = x[ok], nsubs[ok], lo[..., ok], hi[..., ok]
-                    data = [d[ok] for d in data]
-                    if levels is not None:
-                        levels = levels[ok]
-                    # the slots left in this level march the smaller stack
-                    slots = prefixes()
+            # the level's start rows, kept for a replay
+            if levels is not None:
+                start = levels[:, m - first]
+            else:
+                start = saved
+                np.copyto(saved, x)
+            for (views, back), wall in zip(slots[q], walls[t]):
+                _substep(*views, wall)
+                if back is not None:
+                    np.copyto(*back)
+            q ^= flip
+            x = bufs[q]
+            if not (walls_finite[t] and np.isfinite(x).all()):
+                ok = np.isfinite(x).all(axis=1) & np.isfinite(walls[t]).all(axis=(0, 2))
+                for r in np.flatnonzero(~ok):
+                    out[live[r]] = _replay([d[r:r + 1] for d in data], start[r],
+                                           walls[t][:, r:r + 1], m, nsubs[r], h)
+                live = [live[r] for r in np.flatnonzero(ok)]
+                if not live:
+                    return out
+                plans = [pl for pl, kept in zip(plans, ok) if kept]
+                nsubs, walls, data = nsubs[ok], walls[:, :, ok], [d[ok] for d in data]
+                walls_finite = np.isfinite(walls).all(axis=(1, 2, 3))
+                if levels is not None:
+                    levels = levels[ok]
+                # the smaller stack gets its own buffers and views
+                bufs, slots, flip = _stack(x[ok], nsubs, data, h)
+                q = 0
+                x = bufs[q]
+                saved = np.empty_like(x)
             t += 1
             if levels is not None:
                 levels[:, m + 1 - first] = x
@@ -395,8 +520,8 @@ def solved(outcome):
 def step(row: np.ndarray, m: int, prob: Problem, substep: bool = True) -> np.ndarray:
     """Advance one reporting step, from tau_m to tau_{m+1}.
 
-    One level of the same march ``solve`` runs. Raises NonFiniteValue the
-    moment any node stops being finite.
+    One level of the same march ``solve`` runs. Raises NonFiniteValue at the
+    first sub-step and node that stops being finite.
     """
     pl = plan(prob, substep)
     rows = np.asarray(row, dtype=float)[None, :]

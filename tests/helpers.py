@@ -45,12 +45,12 @@ def desk_problem(variant: ModelVariant = ModelVariant.BKTC, grid: GridSpec | Non
                    instrument=instrument or Instrument(kind="call", strike=STRIKE))
 
 
-def serial_solve(prob: Problem, substep: bool = True) -> np.ndarray:
-    """Every level of the march as a plain per-level, per-sub-step loop.
+def _sub_steps(prob: Problem, substep: bool = True):
+    """The plain per-level, per-sub-step loop: yields (level, row, level done)
+    after every sub-step.
 
     Rebuilds the wall data on every sub-step from the public primitives,
-    with nothing planned or stacked: the reference the planned, stacked
-    march must reproduce bit for bit.
+    with nothing planned or stacked.
     """
     p = prob.effective_params()
     grid = build_space_grid(prob.grid)
@@ -62,14 +62,34 @@ def serial_solve(prob: Problem, substep: bool = True) -> np.ndarray:
             nsub = max(1, math.ceil(dtau / bound))
     delta = dtau / nsub
     a, b, c = step_coefficients(grid, p, delta, prob.drift_discretization)
-    values = [payoff(prob.instrument, grid)]
+    row = payoff(prob.instrument, grid)
     for m in range(prob.grid.n_time):
-        row = values[-1]
         for j in range(1, nsub + 1):
             interior = (a * row[:-2] + b * row[1:-1] + c * row[2:]
                         - delta * nonlinear_source(row, grid, p))
             tau = (m + 1) * dtau if j == nsub else m * dtau + j * delta
             lo, hi = boundary_values(prob.instrument, grid, tau, p, prob.boundary_mode)
             row = np.concatenate([[lo], interior, [hi]])
-        values.append(row)
-    return np.array(values)
+            yield m, row, j == nsub
+
+
+def serial_solve(prob: Problem, substep: bool = True) -> np.ndarray:
+    """Every level of the plain per-sub-step loop: the reference the planned,
+    stacked march must reproduce bit for bit."""
+    start = payoff(prob.instrument, build_space_grid(prob.grid))
+    return np.array([start] + [row for _, row, done in _sub_steps(prob, substep) if done])
+
+
+def first_non_finite(prob: Problem, substep: bool = True):
+    """(step, node) of the first sub-step of the plain loop whose row holds a
+    non-finite value, the first such node; None if the march stays finite.
+
+    The reference for ``NonFiniteValue``: the march checks once per level,
+    and this checks after every sub-step.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, row, _ in _sub_steps(prob, substep):
+            bad = ~np.isfinite(row)
+            if bad.any():
+                return m, int(np.argmax(bad))
+    return None

@@ -45,6 +45,7 @@ from helpers import (
     desk_grid,
     desk_params,
     desk_problem,
+    first_non_finite,
     serial_solve,
 )
 
@@ -318,11 +319,37 @@ def test_non_monotone_forward_drift_warns_at_its_first_node(n_space, floor):
     assert upwind.values.min() >= 0.0
 
 
+def _upper_weight_under_the_cost_sink(pl):
+    """c - delta*kappa/h_f: the weight on V[i+1] once the forward-differenced
+    cost sink is counted, where U_x > 0."""
+    return pl.c - pl.delta * pl.rates[2] / pl.grid.h[1:]
+
+
 def test_desk_grid_step_is_monotone():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pl = solver.plan(desk_problem())
     assert min(pl.a.min(), pl.c.min()) >= 0.0
+    assert _upper_weight_under_the_cost_sink(pl).min() >= 0.0
+
+
+@pytest.mark.parametrize("C_C, n_space", [(0.1, 10), (0.2, 20)])
+def test_a_cost_sink_that_outweighs_c_warns_at_its_first_node(C_C, n_space):
+    """A large counterparty-bond cost takes delta*kappa/h_f off the upper
+    weight where U_x > 0; on coarse grids that drives it below zero, and the
+    call price turns negative. The plan names the node, the weight and the
+    sink; the numbers stay as they were."""
+    prob = desk_problem(C_C=C_C, grid=desk_grid(n_space=n_space))
+    with pytest.warns(ModelAssumptionWarning, match="cost sink") as caught:
+        pl = solver.plan(prob)
+    assert min(pl.a.min(), pl.c.min()) >= 0.0
+    weight = _upper_weight_under_the_cost_sink(pl)
+    k = int(np.flatnonzero(weight < 0.0)[0])
+    message = next(str(w.message) for w in caught if "cost sink" in str(w.message))
+    assert f"c - delta*kappa/h_f = {weight[k]:.6g} < 0 at node {k + 1}" in message
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)
+        assert solve(prob).values.min() < 0.0
 
 
 # --- Surface utilities ---
@@ -385,10 +412,10 @@ def stacks(draw):
     return members
 
 
-def _lone(prob):
+def _lone(prob, substep=True):
     """A problem's own one-member solve: its values, or the error it raised."""
     try:
-        return solve(prob).values
+        return solve(prob, substep).values
     except (WellPosednessViolation, NonFiniteValue) as exc:
         return exc
 
@@ -464,9 +491,9 @@ def test_one_source_call_per_sub_step_slot(monkeypatch):
     nsubs = [solver.plan(prob).nsub for prob in members]
     assert set(nsubs) == set(range(1, 10))
     calls = []
-    source = solver.nonlinear_source
-    monkeypatch.setattr(solver, "nonlinear_source",
-                        lambda rows, grid, p: calls.append(len(rows)) or source(rows, grid, p))
+    source = solver._source_into  # what the march calls once per sub-step slot
+    monkeypatch.setattr(solver, "_source_into", lambda out, rows, *views:
+                        calls.append(len(rows)) or source(out, rows, *views))
     solve_stack(members)
     n_time = members[0].grid.n_time
     assert len(calls) == n_time * 9
@@ -501,3 +528,37 @@ def test_a_blow_up_inside_a_mixed_stack_stays_in_its_slot():
             for k, values in lone_values.items():
                 want = values if time_index is None else values[time_index]
                 np.testing.assert_array_equal(outs[k], want)
+
+
+@pytest.mark.parametrize("overrides, n_space, substep, nsub, failure", [
+    ({"q_S": 800.0}, 200, True, 479, (226, 200)),
+    ({"q_S": 800.0}, 400, True, 959, (228, 400)),
+    ({"sigma": 0.2, "s_F": 1e4, "lambda_B": 1e4}, 200, True, 4, (85, 95)),
+    ({"sigma": 0.4}, 200, False, 1, (217, 99)),
+], ids=["wall-mid-level-200", "wall-mid-level-400", "interior", "no-sub-steps"])
+def test_non_finite_value_is_the_first_failing_sub_step(overrides, n_space, substep, nsub,
+                                                        failure):
+    """The march checks finiteness once per level and replays a failing
+    member's level alone; the (step, node) it reports must be the first
+    non-finite sub-step of the plain per-sub-step loop, lone and stacked
+    between a stable desk member and a RiskFree sigma = 0.3 member."""
+    grid = desk_grid(n_space=n_space)
+    blow = desk_problem(grid=grid, **overrides)
+    members = [desk_problem(grid=grid), blow,
+               desk_problem(variant=ModelVariant.RISK_FREE, sigma=0.3, grid=grid)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)
+        assert solver.plan(blow, substep).nsub == nsub
+        assert first_non_finite(blow, substep) == failure
+        with pytest.raises(NonFiniteValue) as lone:
+            solve(blow, substep)
+        assert (lone.value.step, lone.value.node) == failure
+        outs = solve_stack(members, substep=substep)
+        assert isinstance(outs[1], NonFiniteValue)
+        assert (outs[1].step, outs[1].node) == failure
+        for k in (0, 2):
+            want = _lone(members[k], substep)
+            if isinstance(want, NonFiniteValue):
+                assert (outs[k].step, outs[k].node) == (want.step, want.node)
+            else:
+                np.testing.assert_array_equal(outs[k], want[-1])
