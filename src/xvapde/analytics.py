@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.stats import norm
 
-from .csvio import fmt, write_rows
+from .csvio import write_rows
 from .grid import GridSpec, build_space_grid
 from .instrument import Instrument
 from .model import ModelParams, ModelVariant
@@ -32,6 +31,8 @@ _PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
 
 def closed_form_call(S, K: float, r: float, carry: float, sigma: float, tau: float):
     """Lognormal European call with cost-of-carry; tau = 0 returns the intrinsic."""
+    from scipy.special import ndtr  # the standard normal cdf; scipy loads only here
+
     S = np.asarray(S, dtype=float)
     if tau <= 0.0:
         out = np.maximum(S - K, 0.0)
@@ -40,19 +41,21 @@ def closed_form_call(S, K: float, r: float, carry: float, sigma: float, tau: flo
     F = S * np.exp(carry * tau)
     d1 = (np.log(F / K) + 0.5 * sigma ** 2 * tau) / srt
     d2 = d1 - srt
-    out = np.exp(-r * tau) * (F * norm.cdf(d1) - K * norm.cdf(d2))
+    out = np.exp(-r * tau) * (F * ndtr(d1) - K * ndtr(d2))
     return out if out.ndim else float(out)
 
 
 def closed_form_call_delta(S, K: float, r: float, carry: float, sigma: float, tau: float):
     """dV/dS of the closed-form call."""
+    from scipy.special import ndtr
+
     S = np.asarray(S, dtype=float)
     if tau <= 0.0:
         out = np.where(S > K, 1.0, 0.0)
         return out if out.ndim else float(out)
     srt = sigma * np.sqrt(tau)
     d1 = (np.log(S / K) + (carry + 0.5 * sigma ** 2) * tau) / srt
-    out = np.exp((carry - r) * tau) * norm.cdf(d1)
+    out = np.exp((carry - r) * tau) * ndtr(d1)
     return out if out.ndim else float(out)
 
 
@@ -91,14 +94,11 @@ class SweepResult:
 
     def to_csv(self, path) -> None:
         """Long format: one row per (value, node) of every member that solved."""
-        rows = [["parameter", "value", "S", "price", "cva"]]
-        for v, price, cva in zip(self.values, self.prices, self.cvas):
-            if price is None:
-                continue
-            for i in range(len(self.spots)):
-                rows.append([self.parameter, fmt(v), fmt(self.spots[i]),
-                             fmt(price[i]), fmt(cva[i])])
-        write_rows(path, rows)
+        write_rows(path, ("parameter", "value", "S", "price", "cva"),
+                   [((self.parameter,),
+                     np.column_stack([np.full(len(self.spots), v), self.spots, price, cva]))
+                    for v, price, cva in zip(self.values, self.prices, self.cvas)
+                    if price is not None])
 
 
 def sweep(base: Problem, parameter: str, values) -> SweepResult:

@@ -16,8 +16,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .analytics import sweep
-from .csvio import fmt, write_rows
+from .csvio import write_rows
 from .errors import ConfigError, EngineError, InvalidSpec
 from .greeks import greeks_report
 from .grid import GridSpec, build_space_grid
@@ -208,10 +210,8 @@ def _cmd_cva(resolved: dict, out_dir: Path) -> int:
     full, base, cva = solved(solve_pairs(
         [(prob, replace(prob, variant=ModelVariant.RISK_FREE))])[0])
     spots = build_space_grid(prob.grid).spots
-    rows = [["S", "price", "risk_free_price", "cva"]]
-    for i in range(len(spots)):
-        rows.append([fmt(spots[i]), fmt(full[i]), fmt(base[i]), fmt(cva[i])])
-    write_rows(out_dir / "cva.csv", rows)
+    write_rows(out_dir / "cva.csv", ("S", "price", "risk_free_price", "cva"),
+               [((), np.column_stack([spots, full, base, cva]))])
     i = int(abs(spots - prob.instrument.strike).argmin())
     print(f"cva at S = {spots[i]:.6g}: {cva[i]:.10g}")
     return 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .csvio import fmt, write_rows
+from .csvio import write_rows
 from .errors import WellPosednessViolation
 from .grid import build_space_grid, build_time_grid
 from .model import ModelParams
@@ -131,11 +131,9 @@ class GreeksReport:
     tau: float
 
     def to_csv(self, path) -> None:
-        rows = [["S", "delta", "gamma", "vega", "rho"]]
-        for i in range(len(self.spots)):
-            rows.append([fmt(self.spots[i]), fmt(self.delta[i]), fmt(self.gamma[i]),
-                         fmt(self.vega[i]), fmt(self.rho[i])])
-        write_rows(path, rows)
+        write_rows(path, ("S", "delta", "gamma", "vega", "rho"),
+                   [((), np.column_stack([self.spots, self.delta, self.gamma,
+                                          self.vega, self.rho]))])
 
 
 def greeks_report(prob: Problem, eps_sigma: float = 1e-3, eps_r: float = 1e-4,

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .csvio import fmt, write_rows
+from .csvio import write_rows
 from .errors import EngineError, ModelAssumptionWarning, NonFiniteValue
 from .grid import GridSpec, SpaceGrid, build_space_grid, build_time_grid, stability_bound
 from .instrument import BOUNDARY_MODES, Instrument, boundary_curves, payoff
@@ -118,11 +118,9 @@ class Surface:
 
     def to_csv(self, path) -> None:
         """Two header rows (x_i, then S_i), one data row per tau level."""
-        rows = [["x"] + [fmt(x) for x in self.grid.nodes],
-                ["S"] + [fmt(s) for s in self.grid.spots]]
-        for m, tau in enumerate(self.taus):
-            rows.append([fmt(tau)] + [fmt(v) for v in self.values[m]])
-        write_rows(path, rows)
+        write_rows(path, (), [(("x",), self.grid.nodes[None]),
+                              (("S",), self.grid.spots[None]),
+                              ((), np.column_stack([self.taus, self.values]))])
 
 
 def step_coefficients(grid: SpaceGrid, p: ModelParams, dtau: float,

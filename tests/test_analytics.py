@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.special import gammaln
+from scipy.stats import norm
 
 from xvapde import (
     ModelVariant,
@@ -100,6 +101,44 @@ def test_closed_form_delta_frozen_value_and_consistency():
 def test_closed_form_delta_expiry_is_the_indicator():
     assert closed_form_call_delta(10.0, STRIKE, 0.05, 0.02, 0.1, 0.0) == 1.0
     assert closed_form_call_delta(6.0, STRIKE, 0.05, 0.02, 0.1, 0.0) == 0.0
+
+
+def _norm_cdf_call(S, K, r, carry, sigma, tau):
+    """The closed form as written against scipy.stats.norm."""
+    S = np.asarray(S, dtype=float)
+    if tau <= 0.0:
+        return np.maximum(S - K, 0.0)
+    srt = sigma * np.sqrt(tau)
+    F = S * np.exp(carry * tau)
+    d1 = (np.log(F / K) + 0.5 * sigma ** 2 * tau) / srt
+    return np.exp(-r * tau) * (F * norm.cdf(d1) - K * norm.cdf(d1 - srt))
+
+
+def _norm_cdf_delta(S, K, r, carry, sigma, tau):
+    S = np.asarray(S, dtype=float)
+    if tau <= 0.0:
+        return np.where(S > K, 1.0, 0.0)
+    d1 = (np.log(S / K) + (carry + 0.5 * sigma ** 2) * tau) / (sigma * np.sqrt(tau))
+    return np.exp((carry - r) * tau) * norm.cdf(d1)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.25, 1e-6, 0.0])
+@pytest.mark.parametrize("sigma", [0.1, 0.3])
+def test_closed_form_is_the_norm_cdf_formula_bit_for_bit(tau, sigma):
+    # the desk ATM node (the atm_abs_err reference), deep out and deep in the money
+    desk = build_space_grid(desk_grid())
+    atm = float(desk.spots[desk.nearest_index(math.log(STRIKE))])
+    spots = np.concatenate([[atm, 1e-3, 0.5, 2.0, 32.0, 1e3, 1e6], desk.spots])
+    args = dict(K=STRIKE, r=0.05, carry=0.02, sigma=sigma, tau=tau)
+    for ours, ref in ((closed_form_call, _norm_cdf_call),
+                      (closed_form_call_delta, _norm_cdf_delta)):
+        np.testing.assert_array_equal(_bits(ours(spots, **args)), _bits(ref(spots, **args)))
+        for s in spots[:7]:
+            assert _bits(ours(float(s), **args)) == _bits(ref(float(s), **args))
 
 
 # --- Adjustment profiles ---

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +261,23 @@ def test_non_integral_and_boolean_numbers_exit_2(tmp_path, capsys, section, key,
 def test_integral_floats_are_counts():
     resolved = cli.resolve_config({"grid": {"n_space": 60.0, "n_time": 30}})
     assert cli.build_problem(resolved).grid.n_space == 60
+
+
+def test_commands_run_without_loading_scipy(tmp_path):
+    # a fresh interpreter: the test session has imported scipy already
+    cfg = tmp_path / "fast.json"
+    cfg.write_text(json.dumps({"grid": FAST_GRID}))
+    script = (
+        "import json, sys\n"
+        "from xvapde import cli\n"
+        f"codes = [cli.main(['price', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'p')!r}]),\n"
+        f"         cli.main(['validate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'v')!r}])]\n"
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps([codes, scipy]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    codes, scipy = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert (tmp_path / "p" / "surface.csv").exists()
+    assert scipy == []
