@@ -26,43 +26,20 @@ from .errors import (
     NonFiniteValue,
     WellPosednessViolation,
 )
-from .greeks import (
-    GreeksReport,
-    HedgeNotionals,
-    bump_greek,
-    delta_gamma,
-    greeks_report,
-    hedge_notionals,
-)
-from .grid import GridSpec, SpaceGrid, build_space_grid, build_time_grid, stability_bound
-from .instrument import Instrument, boundary_values, payoff
+from .greeks import GreeksReport, HedgeNotionals, greeks_report, hedge_notionals
+from .grid import GridSpec, SpaceGrid, build_space_grid, stability_bound
+from .instrument import Instrument
 from .model import (
     ConditionReport,
     ModelParams,
     ModelVariant,
     check_condition1,
-    check_condition2,
-    check_condition4,
-    condition2_value,
-    condition4_bound,
     cpty_cost_rate,
-    effective_rates,
     modified_variance,
-    negative_exposure_rate,
-    positive_exposure_rate,
     turnover_factor,
     validity_checks,
 )
-from .solver import (
-    Problem,
-    Surface,
-    nonlinear_source,
-    solve,
-    solve_pairs,
-    solve_stack,
-    step,
-    step_coefficients,
-)
+from .solver import Problem, Surface, solve, solve_pairs, solve_stack
 
 __version__ = "0.1.0"
 
@@ -85,35 +62,20 @@ __all__ = [
     "Surface",
     "SweepResult",
     "WellPosednessViolation",
-    "boundary_values",
     "build_space_grid",
-    "build_time_grid",
-    "bump_greek",
     "check_condition1",
-    "check_condition2",
-    "check_condition4",
     "closed_form_call",
     "closed_form_call_delta",
     "compare_models",
-    "condition2_value",
-    "condition4_bound",
     "cpty_cost_rate",
     "cva_profile",
-    "delta_gamma",
-    "effective_rates",
     "greeks_report",
     "hedge_notionals",
     "modified_variance",
-    "negative_exposure_rate",
-    "nonlinear_source",
-    "payoff",
-    "positive_exposure_rate",
     "solve",
     "solve_pairs",
     "solve_stack",
     "stability_bound",
-    "step",
-    "step_coefficients",
     "sweep",
     "turnover_factor",
     "validity_checks",

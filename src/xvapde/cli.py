@@ -21,10 +21,10 @@ import numpy as np
 from .analytics import sweep
 from .csvio import write_rows
 from .errors import ConfigError, EngineError, InvalidSpec
-from .greeks import greeks_report
+from .greeks import DEFAULT_EPS, greeks_report
 from .grid import GridSpec, build_space_grid
 from .instrument import BOUNDARY_MODES, Instrument
-from .model import ModelParams, ModelVariant, validity_checks
+from .model import ModelParams, ModelVariant
 from .solver import DRIFT_MODES, Problem, solve, solve_pairs, solved
 
 __all__ = ["resolve_config", "build_problem", "main"]
@@ -41,7 +41,7 @@ GRID_DEFAULTS = {
     "n_space": 200, "n_time": 261, "horizon": 1.0,
 }
 INSTRUMENT_DEFAULTS = {"kind": "call", "strike": 8.0, "custom_payoff": None}
-GREEKS_DEFAULTS = {"eps_sigma": 1e-3, "eps_r": 1e-4}
+GREEKS_DEFAULTS = {"eps_sigma": DEFAULT_EPS["vega"], "eps_r": DEFAULT_EPS["rho"]}
 TOP_DEFAULTS = {
     "variant": "BKTC",
     "boundary_mode": "model_consistent",
@@ -173,12 +173,8 @@ def _write_resolved(resolved: dict, out_dir: Path) -> None:
 
 
 def _cmd_validate(resolved: dict, out_dir: Path) -> int:
-    prob = build_problem(resolved)
-    reports = validity_checks(prob.effective_params(),
-                              S_max=math.exp(prob.grid.x_plus),
-                              c=prob.condition2_c)
     ok = True
-    for rep in reports:
+    for rep in build_problem(resolved).validity_checks():
         ok &= rep.passed
         print(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'} ({rep.detail})")
     return 0 if ok else 1
@@ -199,7 +195,7 @@ def _cmd_greeks(resolved: dict, out_dir: Path) -> int:
     rep = greeks_report(prob, eps_sigma=_number("greeks.eps_sigma", eps["eps_sigma"]),
                         eps_r=_number("greeks.eps_r", eps["eps_r"]))
     rep.to_csv(out_dir / "greeks.csv")
-    i = int(abs(rep.spots - prob.instrument.strike).argmin())
+    i = build_space_grid(prob.grid).nearest_index(math.log(prob.instrument.strike))
     print(f"at S = {rep.spots[i]:.6g}: delta = {rep.delta[i]:.6g}, "
           f"gamma = {rep.gamma[i]:.6g}, vega = {rep.vega[i]:.6g}, rho = {rep.rho[i]:.6g}")
     return 0
@@ -209,10 +205,11 @@ def _cmd_cva(resolved: dict, out_dir: Path) -> int:
     prob = build_problem(resolved)
     full, base, cva = solved(solve_pairs(
         [(prob, replace(prob, variant=ModelVariant.RISK_FREE))])[0])
-    spots = build_space_grid(prob.grid).spots
+    grid = build_space_grid(prob.grid)
+    spots = grid.spots
     write_rows(out_dir / "cva.csv", ("S", "price", "risk_free_price", "cva"),
                [((), np.column_stack([spots, full, base, cva]))])
-    i = int(abs(spots - prob.instrument.strike).argmin())
+    i = grid.nearest_index(math.log(prob.instrument.strike))
     print(f"cva at S = {spots[i]:.6g}: {cva[i]:.10g}")
     return 0
 

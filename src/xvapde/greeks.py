@@ -136,9 +136,11 @@ class GreeksReport:
                                           self.vega, self.rho]))])
 
 
-def greeks_report(prob: Problem, eps_sigma: float = 1e-3, eps_r: float = 1e-4,
+def greeks_report(prob: Problem, eps_sigma: float | None = None, eps_r: float | None = None,
                   time_index: int = -1) -> GreeksReport:
     """Delta/Gamma from the base solve, Vega/Rho from four bumped ones.
+
+    A bump size left as None comes from ``DEFAULT_EPS``.
 
     The five solves march together, keeping only the chosen tau level;
     each bump pair marches at the larger sub-step count of its two, as in

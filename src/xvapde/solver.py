@@ -53,15 +53,14 @@ from .errors import EngineError, ModelAssumptionWarning, NonFiniteValue
 from .grid import GridSpec, SpaceGrid, build_space_grid, build_time_grid, stability_bound
 from .instrument import BOUNDARY_MODES, Instrument, boundary_curves, payoff
 from .model import (
+    ConditionReport,
     ModelParams,
     ModelVariant,
-    check_condition2,
-    check_condition4,
-    condition2_value,
     cpty_cost_rate,
     modified_variance,
     negative_exposure_rate,
     positive_exposure_rate,
+    validity_checks,
 )
 
 __all__ = ["Problem", "Surface", "Plan", "plan", "step_coefficients", "source_rates",
@@ -69,6 +68,8 @@ __all__ = ["Problem", "Surface", "Plan", "plan", "step_coefficients", "source_ra
 
 DRIFT_MODES = ("forward", "upwind")
 _WALL_BLOCK = 512  # sub-steps of wall data made at once
+# the conditions a solve only warns on, with the argument each one backs
+_ADVISORY = {"condition2": "contraction", "condition4": "comparison"}
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,12 @@ class Problem:
 
     def effective_params(self) -> ModelParams:
         return self.variant.apply(self.params)
+
+    def validity_checks(self) -> list[ConditionReport]:
+        """The condition reports of the variant-filtered parameters, with
+        S_max at the upper wall and condition 2 at condition2_c."""
+        return validity_checks(self.effective_params(), math.exp(self.grid.x_plus),
+                               self.condition2_c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,17 +231,11 @@ def _check_conditions(prob: Problem, p: ModelParams) -> None:
         warnings.warn(
             "lambda_B < r*C_B: the condition2 bracket assumes a nonnegative "
             "negative-exposure rate", ModelAssumptionWarning, stacklevel=3)
-    if not check_condition2(p, prob.condition2_c):
-        warnings.warn(
-            f"condition2 failed: c * bracket = "
-            f"{prob.condition2_c * condition2_value(p):.6g} >= 1; the "
-            "contraction argument behind the scheme no longer applies",
-            ModelAssumptionWarning, stacklevel=3)
-    if not check_condition4(p, float(math.exp(prob.grid.x_plus))):
-        warnings.warn(
-            "condition4 failed: q_S - gamma_S exceeds the effective discount "
-            "bound; the comparison argument behind the scheme no longer applies",
-            ModelAssumptionWarning, stacklevel=3)
+    for rep in prob.validity_checks():
+        if rep.name in _ADVISORY and not rep.passed:
+            warnings.warn(
+                f"{rep.name} failed: {rep.detail}; the {_ADVISORY[rep.name]} argument "
+                "behind the scheme no longer applies", ModelAssumptionWarning, stacklevel=3)
 
 
 def _check_monotone(grid: SpaceGrid, a: np.ndarray, c: np.ndarray, sink: np.ndarray) -> None:

@@ -10,13 +10,11 @@ from xvapde import (
     ModelParams,
     ModelVariant,
     Problem,
-    boundary_values,
     build_space_grid,
-    nonlinear_source,
-    payoff,
     stability_bound,
-    step_coefficients,
 )
+from xvapde.instrument import boundary_values, payoff
+from xvapde.solver import nonlinear_source, step_coefficients
 
 STRIKE = 8.0
 HORIZON = 1.0

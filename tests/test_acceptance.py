@@ -18,18 +18,17 @@ from xvapde import (
     NonFiniteValue,
     Problem,
     build_space_grid,
-    bump_greek,
     cli,
     closed_form_call,
     compare_models,
     cva_profile,
-    delta_gamma,
     solve,
     stability_bound,
-    step_coefficients,
     turnover_factor,
     validity_checks,
 )
+from xvapde.greeks import bump_greek, delta_gamma
+from xvapde.solver import step_coefficients
 
 from helpers import STRIKE, desk_grid, desk_params, desk_problem
 

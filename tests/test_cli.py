@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xvapde import ConfigError, cli
+from xvapde import ConfigError, build_space_grid, cli
+from xvapde.greeks import DEFAULT_EPS
 
 # small scenario so every command variant stays fast
 FAST_GRID = {"n_space": 60, "n_time": 30}
@@ -40,6 +41,14 @@ def test_defaults_fill_the_desk_scenario():
     assert resolved["grid"]["x_star"] == pytest.approx(math.log(8.0))
     assert resolved["grid"]["alpha"] == pytest.approx(
         (math.log(32.0) - math.log(2.0)) / 10.0)
+
+
+def test_greeks_defaults_are_the_bump_table(tmp_path):
+    assert cli.resolve_config({})["greeks"] == {"eps_sigma": DEFAULT_EPS["vega"],
+                                                "eps_r": DEFAULT_EPS["rho"]}
+    _, out = run(tmp_path, "validate", {"grid": FAST_GRID})
+    text = (out / "resolved_config.json").read_text()
+    assert '"eps_r": 0.0001,' in text and '"eps_sigma": 0.001\n' in text
 
 
 def test_resolution_is_idempotent():
@@ -184,6 +193,19 @@ def test_cva_writes_the_profile(tmp_path, capsys):
     assert len(lines) == 1 + 61
     # the adjustment column is a cost at every node
     assert all(float(line.split(",")[3]) <= 1e-15 for line in lines[1:])
+
+
+def test_every_command_reports_the_node_nearest_the_strike_in_log_price(tmp_path, capsys):
+    # on this grid the nodes nearest K in price and in log-price differ
+    grid = {"x_minus": 0.0, "x_plus": 3.6888794541139363, "n_space": 257, "n_time": 20}
+    prob = cli.build_problem(cli.resolve_config({"grid": grid}))
+    space = build_space_grid(prob.grid)
+    spot = f"{space.spots[space.nearest_index(math.log(8.0))]:.6g}"
+    assert spot != f"{space.spots[abs(space.spots - 8.0).argmin()]:.6g}"
+    for command in ("price", "greeks", "cva"):
+        code, _ = run(tmp_path, command, {"grid": grid}, name=command)
+        assert code == 0
+        assert re.search(r"at S = (\S+?)[ :]", capsys.readouterr().out).group(1) == spot
 
 
 SWEEP_CFG = {"grid": FAST_GRID,

@@ -14,13 +14,12 @@ from xvapde import (
     Surface,
     WellPosednessViolation,
     build_space_grid,
-    bump_greek,
     closed_form_call_delta,
-    delta_gamma,
     greeks_report,
     hedge_notionals,
     solve,
 )
+from xvapde.greeks import DEFAULT_EPS, bump_greek, delta_gamma
 from xvapde import solver
 
 from helpers import STRIKE, desk_grid, desk_params, desk_problem
@@ -197,6 +196,14 @@ def test_greeks_report_shapes_and_csv(tmp_path):
     assert len(lines) == 1 + n
     first = [float(tok) for tok in lines[1].split(",")]
     assert first[0] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_default_bumps_are_the_table_entries():
+    prob = desk_problem(grid=desk_grid(n_space=60, n_time=30))
+    default = greeks_report(prob)
+    explicit = greeks_report(prob, eps_sigma=DEFAULT_EPS["vega"], eps_r=DEFAULT_EPS["rho"])
+    for name in ("spots", "delta", "gamma", "vega", "rho"):
+        np.testing.assert_array_equal(getattr(default, name), getattr(explicit, name))
 
 
 # --- Hedge notionals ---

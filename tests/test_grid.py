@@ -12,9 +12,9 @@ from xvapde import (
     InvalidSpec,
     ModelVariant,
     build_space_grid,
-    build_time_grid,
     stability_bound,
 )
+from xvapde.grid import build_time_grid
 
 from helpers import desk_grid, desk_params
 

@@ -9,11 +9,9 @@ from xvapde import (
     Instrument,
     MissingPayoff,
     ModelVariant,
-    boundary_values,
     build_space_grid,
-    payoff,
 )
-from xvapde.instrument import BOUNDARY_MODES
+from xvapde.instrument import BOUNDARY_MODES, boundary_values, payoff
 
 from helpers import STRIKE, desk_grid, desk_params
 

@@ -15,17 +15,19 @@ from xvapde import (
     ModelVariant,
     WellPosednessViolation,
     check_condition1,
+    cpty_cost_rate,
+    modified_variance,
+    turnover_factor,
+    validity_checks,
+)
+from xvapde.model import (
     check_condition2,
     check_condition4,
     condition2_value,
     condition4_bound,
-    cpty_cost_rate,
     effective_rates,
-    modified_variance,
     negative_exposure_rate,
     positive_exposure_rate,
-    turnover_factor,
-    validity_checks,
 )
 
 from helpers import desk_params

@@ -18,22 +18,19 @@ from xvapde import (
     NonFiniteValue,
     Problem,
     WellPosednessViolation,
-    boundary_values,
     build_space_grid,
     cpty_cost_rate,
     modified_variance,
-    negative_exposure_rate,
-    nonlinear_source,
-    payoff,
-    positive_exposure_rate,
     solve,
     solve_pairs,
     solve_stack,
     stability_bound,
-    step,
-    step_coefficients,
     turnover_factor,
+    validity_checks,
 )
+from xvapde.instrument import boundary_values, payoff
+from xvapde.model import negative_exposure_rate, positive_exposure_rate
+from xvapde.solver import nonlinear_source, step, step_coefficients
 
 from xvapde import solver
 from xvapde.instrument import BOUNDARY_MODES
@@ -279,14 +276,21 @@ def test_degenerate_funding_inputs_warn():
 
 def test_failed_contraction_constant_warns():
     prob = desk_problem(grid=desk_grid(n_time=4))
-    with pytest.warns(ModelAssumptionWarning, match="condition2"):
+    with pytest.warns(ModelAssumptionWarning, match="condition2") as caught:
         solve(Problem(params=prob.params, variant=prob.variant, grid=prob.grid,
                       instrument=prob.instrument, condition2_c=20.0))
+    rep = validity_checks(prob.effective_params(), math.exp(prob.grid.x_plus), 20.0)[1]
+    assert rep.name == "condition2" and not rep.passed
+    assert [rep.detail in str(w.message) for w in caught].count(True) == 1
 
 
 def test_excessive_drift_warns():
-    with pytest.warns(ModelAssumptionWarning, match="condition4"):
-        solve(desk_problem(q_S=0.2, grid=desk_grid(n_time=4)))
+    prob = desk_problem(q_S=0.2, grid=desk_grid(n_time=4))
+    with pytest.warns(ModelAssumptionWarning, match="condition4") as caught:
+        solve(prob)
+    rep = validity_checks(prob.effective_params(), math.exp(prob.grid.x_plus))[2]
+    assert rep.name == "condition4" and not rep.passed
+    assert [rep.detail in str(w.message) for w in caught].count(True) == 1
 
 
 def test_desk_scenario_is_warning_free():
