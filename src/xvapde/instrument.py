@@ -88,8 +88,10 @@ def boundary_curves(inst: Instrument, grid: SpaceGrid, p: ModelParams,
     Returns ``walls(taus) -> (lower, upper)``, two float arrays over the
     given taus. Every tau-dependent factor is evaluated with ``math.exp``,
     one tau at a time, so each value is the one the formula gives for that
-    tau alone. ``p`` should already be variant-filtered; the
-    model_consistent recipe reads the funding/credit and cost inputs off it.
+    tau alone; a factor that overflows reads as inf, so a wall that
+    outgrows the floats turns non-finite instead of raising. ``p`` should
+    already be variant-filtered; the model_consistent recipe reads the
+    funding/credit and cost inputs off it.
     """
     if mode not in BOUNDARY_MODES:
         raise ValueError(f"mode must be one of {BOUNDARY_MODES}, got {mode!r}")
@@ -107,16 +109,24 @@ def boundary_curves(inst: Instrument, grid: SpaceGrid, p: ModelParams,
         if call:
             # the wall node's own spacings: h into the wall, last ratio beyond it
             g_s = _wall_stock_rate(p, h[-1], h[-1] * h[-1] / h[-2], -1.0)
-            return _upper(lambda taus: [s_hi * math.exp(g_s * t) - K * math.exp(-rho * t)
+            return _upper(lambda taus: [s_hi * _exp(g_s * t) - K * _exp(-rho * t)
                                         for t in taus])
         g_s = _wall_stock_rate(p, h[0] * h[0] / h[1], h[0], +1.0)
-        return _lower(lambda taus: [K * math.exp(-rho * t) - s_lo * math.exp(g_s * t)
+        return _lower(lambda taus: [K * _exp(-rho * t) - s_lo * _exp(g_s * t)
                                     for t in taus])
     if mode == "discounted_strike":
         if call:
-            return _upper(lambda taus: [s_hi - K * math.exp(-p.r * t) for t in taus])
-        return _lower(lambda taus: [K * math.exp(-p.r * t) - s_lo for t in taus])
+            return _upper(lambda taus: [s_hi - K * _exp(-p.r * t) for t in taus])
+        return _lower(lambda taus: [K * _exp(-p.r * t) - s_lo for t in taus])
     return _constant(0.0, s_hi) if call else _constant(K, 0.0)
+
+
+def _exp(x: float) -> float:
+    """``math.exp``, with an overflow read as inf instead of raised."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _constant(lo: float, hi: float):

@@ -184,20 +184,26 @@ class ConditionReport:
     detail: str
 
 
+def _sides(x: float, y: float) -> tuple[str, str]:
+    """Two compared numbers at 6 significant digits, or at 17 when 6 print
+    them the same, so that a report never reads like a tie it is not."""
+    spec = ".17g" if f"{x:.6g}" == f"{y:.6g}" else ".6g"
+    return format(x, spec), format(y, spec)
+
+
 def validity_checks(p: ModelParams, S_max: float, c: float = 1.0) -> list[ConditionReport]:
     """Evaluate the three checks and report the numbers behind each verdict."""
-    floor = turnover_factor(p.dt) * p.C_S
-    reports = [
+    sigma, floor = _sides(p.sigma, turnover_factor(p.dt) * p.C_S)
+    value, one = _sides(c * condition2_value(p), 1.0)
+    drift, bound = _sides(p.q_S - p.gamma_S, condition4_bound(p, S_max))
+    return [
         ConditionReport(
             "condition1", check_condition1(p),
-            f"sigma = {p.sigma:.6g} vs cost floor sqrt(2/(pi*dt))*C_S = {floor:.6g}"),
+            f"sigma = {sigma} vs cost floor sqrt(2/(pi*dt))*C_S = {floor}"),
         ConditionReport(
             "condition2", check_condition2(p, c),
-            f"c * bracket = {c:.6g} * {condition2_value(p):.6g} "
-            f"= {c * condition2_value(p):.6g} vs 1"),
+            f"c * bracket = {c:.6g} * {condition2_value(p):.6g} = {value} vs {one}"),
         ConditionReport(
             "condition4", check_condition4(p, S_max),
-            f"q_S - gamma_S = {p.q_S - p.gamma_S:.6g} vs "
-            f"M = {condition4_bound(p, S_max):.6g} at S_max = {S_max:.6g}"),
+            f"q_S - gamma_S = {drift} vs M = {bound} at S_max = {S_max:.6g}"),
     ]
-    return reports

@@ -37,6 +37,16 @@ once per level. A member whose level turned non-finite has that level
 replayed alone from its saved start row, with a check after every
 sub-step, so its NonFiniteValue names the same step and node a check
 after every sub-step would.
+
+A zero-source row, one whose three source rates are all +0.0 (tested on
+the bit pattern, so a -0.0 rate keeps its source), marches the linear
+update alone: on finite rows its source is exactly +0 and v - (+0) = v,
+so no bit moves. Every RiskFree row is one. Among rows of equal nsub the
+zero-source rows go last, and a sub-step evaluates the source only over
+its covering prefix, the rows up to its last one with a source. In a
+blow-up, a zero-source row's NonFiniteValue names the first node where
+the linear update itself overflows, not where 0*inf would first have
+turned NaN.
 """
 
 from __future__ import annotations
@@ -238,15 +248,19 @@ def _check_conditions(prob: Problem, p: ModelParams) -> None:
                 "behind the scheme no longer applies", ModelAssumptionWarning, stacklevel=3)
 
 
-def _check_monotone(grid: SpaceGrid, a: np.ndarray, c: np.ndarray, sink: np.ndarray) -> None:
-    """Warn when a neighbour weight is negative: the step is then not monotone.
+def _check_monotone(grid: SpaceGrid, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                    delta: float, rates: tuple[float, float, float]) -> None:
+    """Warn when a weight is negative once the source is counted: the step
+    is then not monotone.
 
-    The sub-step count keeps b >= 0. a and c only go negative when the
-    forward-differenced drift is negative and outruns the diffusion. The
-    cost sink differences U forward, so where U_x > 0, as for a call, it
-    moves ``sink`` = delta*kappa/h_f off c: c - sink < 0 exactly when
-    sig_hat^2/(h_b + h_f) + drift < kappa. No sub-step count helps either
-    case, because every term scales with the step.
+    a and c only go negative when the forward-differenced drift is negative
+    and outruns the diffusion. The cost sink differences U forward, so where
+    U_x > 0, as for a call, it moves delta*kappa/h_f off c, and
+    c - delta*kappa/h_f < 0 exactly when sig_hat^2/(h_b + h_f) + drift < kappa. No sub-step count
+    helps either case, because every term scales with the step. The
+    sub-step count keeps b >= 0, but the exposure rates rho+ and rho- and
+    the cost sink also weigh on V[i], and b - delta*(max(rho+, rho-, 0) +
+    kappa/h_f) can still go negative.
     """
     bad = np.flatnonzero(np.minimum(a, c) < 0.0)
     if bad.size:
@@ -257,6 +271,7 @@ def _check_monotone(grid: SpaceGrid, a: np.ndarray, c: np.ndarray, sink: np.ndar
             f"(S = {grid.spots[k + 1]:.6g}), so prices may leave their payoff's "
             "bounds; drift_discretization='upwind' keeps a and c nonnegative",
             ModelAssumptionWarning, stacklevel=3)
+    sink = delta * rates[2] / grid.h[1:]
     bad = np.flatnonzero((c >= 0.0) & (c - sink < 0.0))
     if bad.size:
         k = int(bad[0])
@@ -265,6 +280,16 @@ def _check_monotone(grid: SpaceGrid, a: np.ndarray, c: np.ndarray, sink: np.ndar
             f"at node {k + 1} (S = {grid.spots[k + 1]:.6g}): the counterparty-bond cost "
             "sink kappa*|U_x| outweighs the upper neighbour's weight where U_x > 0, so a "
             "call price may turn negative", ModelAssumptionWarning, stacklevel=3)
+    centre = b - delta * (max(rates[0], rates[1], 0.0) + rates[2] / grid.h[1:])
+    bad = np.flatnonzero(centre < 0.0)
+    if bad.size:
+        k = int(bad[0])
+        warnings.warn(
+            f"non-monotone explicit step: b - delta*(max(rho+, rho-, 0) + kappa/h_f) = "
+            f"{centre[k]:.6g} < 0 at node {k + 1} (S = {grid.spots[k + 1]:.6g}): what "
+            "the exposure rates and the cost sink take off the centre weight leaves it "
+            "negative, so prices may overshoot; more time levels shrink the sub-step",
+            ModelAssumptionWarning, stacklevel=3)
 
 
 def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> Plan:
@@ -288,7 +313,7 @@ def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> 
     delta = dtau / nsub
     a, b, c = step_coefficients(grid, p, delta, prob.drift_discretization)
     rates = source_rates(p)
-    _check_monotone(grid, a, c, delta * rates[2] / grid.h[1:])
+    _check_monotone(grid, a, b, c, delta, rates)
     return Plan(grid=grid, dtau=dtau, nsub=nsub, delta=delta, a=a, b=b, c=c, rates=rates,
                 walls=boundary_curves(prob.instrument, grid, p, prob.boundary_mode),
                 start=payoff(prob.instrument, grid))
@@ -321,35 +346,55 @@ def _walls(plans, dtau: float, levels, width: int) -> np.ndarray:
     return walls
 
 
-def _substep(x_lo, x_in, x_up, inner, tmp, walls, a, b, c, delta, source, wall) -> None:
+def _substep(x_lo, x_in, x_up, inner, tmp, walls, a, b, c, source, wall) -> None:
     """One sub-step of a stack, from prebuilt views of the current rows into the next.
 
     a*x[i-1] + b*x[i] + c*x[i+1] - delta*source, summed in that order into
-    the next rows' interior ``inner``, with ``tmp`` the one temporary;
-    ``source`` holds the views ``_source_into`` works on, and ``wall`` the
-    (rows x 2) values for the next rows' wall columns ``walls``.
+    the next rows' interior ``inner``, with ``tmp`` the one temporary, and
+    ``wall`` the (rows x 2) values for the next rows' wall columns
+    ``walls``. ``source`` is None when no row of the sub-step has a source;
+    else it holds the covering prefix's part of ``inner``, its part of
+    ``tmp``, its ``delta`` and the views ``_source_into`` works on.
     """
     np.multiply(a, x_lo, out=inner)
     np.multiply(b, x_in, out=tmp)
     inner += tmp
     np.multiply(c, x_up, out=tmp)
     inner += tmp
-    _source_into(tmp, *source)
-    tmp *= delta
-    inner -= tmp
+    if source is not None:
+        sink, term, delta, views = source
+        _source_into(term, *views)
+        term *= delta
+        sink -= term
     np.copyto(walls, wall)
+
+
+def _has_source(rates) -> np.ndarray:
+    """Whether each (pos, neg, cost) triple of source rates has a source.
+
+    A zero-source row's three rates are all +0.0, tested on the bit
+    pattern, so a -0.0 rate keeps its source. For finite rows that source is
+    exactly +0 and subtracting it changes no bit, so the march skips it.
+    """
+    return np.ascontiguousarray(rates, dtype=float).view(np.int64).any(axis=-1)
 
 
 def _stack(rows: np.ndarray, nsubs: np.ndarray, data, h: np.ndarray):
     """Fixed buffers and prebuilt sub-step views for rows that march together.
 
     ``rows`` (taken over as the first buffer) is ordered by ``nsubs``,
-    largest first; ``data`` holds the members' a, b, c, delta and source
+    largest first, and the zero-source rows of each nsub last (see
+    ``_has_source``); ``data`` holds the members' a, b, c, delta and source
     rates as (members x nodes) rows, zero-padded at the walls, and ``h``
     the forward spacing at the interior nodes. Each buffer is read as one
     flat vector, its rows back to back, so that every operation of a
     sub-step is one contiguous loop: the values it computes at a row's wall
     positions mix neighbouring rows, and the walls then overwrite them.
+    A sub-step on the first n rows evaluates, scales and subtracts the
+    source over the covering prefix of its rows: the first m, up to and
+    including its last row with a source. Zero-source rows inside that
+    prefix subtract an exact +0; when m is 0 the sub-step is the linear
+    update and the walls alone.
     Two row buffers take turns: a sub-step reads one and writes the other,
     and they swap after a sub-step that updates every row, while one on a
     prefix of the rows copies that prefix back. Returns (buffers, slots,
@@ -363,20 +408,28 @@ def _stack(rows: np.ndarray, nsubs: np.ndarray, data, h: np.ndarray):
     pos = np.empty_like(rows)
     slope, neg, tmp = (np.empty(rows.size - 2) for _ in range(3))
     hs = np.tile(np.concatenate(([1.0], h, [1.0])), size)[1:-1]
+    has = _has_source(np.column_stack([d[:, 0] for d in data[4:]]))
     views: dict = {}
 
     def slot(n: int, q: int):
         """The views of a sub-step on the first n rows that reads buffer q."""
         if (n, q) not in views:
             end = n * width
-            x, p = flat[q][:end], pos.reshape(-1)[:end]
-            a, b, c, delta, *rates = (d.reshape(-1)[1:end - 1] for d in data)
-            k = end - 2  # the interior positions of the flat prefix
-            source = (bufs[q][:n], x[1:-1], pos[:n], p[1:-1], p[2:], slope[:k], neg[:k], hs[:k],
-                      *rates)
+            x = flat[q][:end]
+            a, b, c = (d.reshape(-1)[1:end - 1] for d in data[:3])
+            inner = flat[1 - q][1:end - 1]  # the flat prefix's interior
+            source, with_source = None, np.flatnonzero(has[:n])
+            if with_source.size:
+                m = int(with_source[-1]) + 1  # the covering prefix
+                k = m * width - 2  # its interior positions
+                p = pos.reshape(-1)[:k + 2]
+                delta, *rates = (d.reshape(-1)[1:k + 1] for d in data[3:])
+                source = (inner[:k], tmp[:k], delta,
+                          (bufs[q][:m], x[1:k + 1], pos[:m], p[1:-1], p[2:], slope[:k], neg[:k],
+                           hs[:k], *rates))
             # the wall columns of every row: past n they are scratch no one reads
-            views[n, q] = (x[:-2], x[1:-1], x[2:], flat[1 - q][1:end - 1], tmp[:k],
-                           bufs[1 - q][:, ::width - 1], a, b, c, delta, source)
+            views[n, q] = (x[:-2], x[1:-1], x[2:], inner, tmp[:end - 2],
+                           bufs[1 - q][:, ::width - 1], a, b, c, source)
         return views[n, q]
 
     counts = [int((nsubs > j).sum()) for j in range(nsubs[0])]
@@ -420,8 +473,11 @@ def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> 
     ordered by nsub, largest first, so sub-step slot j of a level updates
     only the prefix of rows whose nsub exceeds j: a level costs the largest
     nsub in sub-step calls, and each row does exactly the arithmetic of its
-    lone march. A sub-step allocates nothing: it works on fixed buffers
-    through views built once per stack (see ``_stack``).
+    lone march. Among rows of equal nsub the zero-source rows go last, so
+    a slot's source covers the fewest rows it can (see ``_has_source``);
+    nsub stays the first sort key, so every slot still updates a prefix.
+    A sub-step allocates nothing: it works on fixed buffers through views
+    built once per stack (see ``_stack``).
 
     Rows never mix, and a non-finite value stays non-finite at every later
     sub-step (b*x[i] carries it, and a wall reaches its neighbour through a
@@ -429,14 +485,18 @@ def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> 
     data. A member that fails has its level replayed alone from the saved
     start row, one checked sub-step at a time (``_replay``), which gives the
     same NonFiniteValue(step, node) as a check after every sub-step; it
-    then leaves the stack and the others march on.
+    then leaves the stack and the others march on. A zero-source row's
+    replay also runs without the source, so its error names the first
+    node where the linear update overflows.
 
     ``keep`` is the level to return, or None for every level from ``first``
     on. One outcome per plan: the kept values, or the NonFiniteValue that
     stopped it.
     """
     grid, dtau, h = plans[0].grid, plans[0].dtau, plans[0].grid.h[1:]
-    live = sorted(range(len(plans)), key=lambda i: -plans[i].nsub)  # stack row -> plan index
+    has = _has_source([pl.rates for pl in plans])
+    # stack row -> plan index: nsub largest first, zero-source rows last among equals
+    live = sorted(range(len(plans)), key=lambda i: (-plans[i].nsub, not has[i]))
     plans = [plans[i] for i in live]
     # wall data is made a block of levels at a time: one call per member
     # per block, without holding every sub-step of a fine grid at once

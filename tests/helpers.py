@@ -14,7 +14,7 @@ from xvapde import (
     stability_bound,
 )
 from xvapde.instrument import boundary_values, payoff
-from xvapde.solver import nonlinear_source, step_coefficients
+from xvapde.solver import nonlinear_source, source_rates, step_coefficients
 
 STRIKE = 8.0
 HORIZON = 1.0
@@ -43,12 +43,15 @@ def desk_problem(variant: ModelVariant = ModelVariant.BKTC, grid: GridSpec | Non
                    instrument=instrument or Instrument(kind="call", strike=STRIKE))
 
 
-def _sub_steps(prob: Problem, substep: bool = True):
+def _sub_steps(prob: Problem, substep: bool = True, skip_zero_source: bool = False):
     """The plain per-level, per-sub-step loop: yields (level, row, level done)
     after every sub-step.
 
     Rebuilds the wall data on every sub-step from the public primitives,
-    with nothing planned or stacked.
+    with nothing planned or stacked. With ``skip_zero_source``, a problem
+    whose three source rates are all +0.0, bit for bit, marches without its
+    source, as the engine does: that source is an exact +0 on finite rows,
+    and leaving it out only moves where a blow-up first reads non-finite.
     """
     p = prob.effective_params()
     grid = build_space_grid(prob.grid)
@@ -60,11 +63,13 @@ def _sub_steps(prob: Problem, substep: bool = True):
             nsub = max(1, math.ceil(dtau / bound))
     delta = dtau / nsub
     a, b, c = step_coefficients(grid, p, delta, prob.drift_discretization)
+    zero_source = skip_zero_source and not np.array(source_rates(p)).view(np.int64).any()
     row = payoff(prob.instrument, grid)
     for m in range(prob.grid.n_time):
         for j in range(1, nsub + 1):
-            interior = (a * row[:-2] + b * row[1:-1] + c * row[2:]
-                        - delta * nonlinear_source(row, grid, p))
+            interior = a * row[:-2] + b * row[1:-1] + c * row[2:]
+            if not zero_source:
+                interior = interior - delta * nonlinear_source(row, grid, p)
             tau = (m + 1) * dtau if j == nsub else m * dtau + j * delta
             lo, hi = boundary_values(prob.instrument, grid, tau, p, prob.boundary_mode)
             row = np.concatenate([[lo], interior, [hi]])
@@ -83,10 +88,11 @@ def first_non_finite(prob: Problem, substep: bool = True):
     non-finite value, the first such node; None if the march stays finite.
 
     The reference for ``NonFiniteValue``: the march checks once per level,
-    and this checks after every sub-step.
+    and this checks after every sub-step. A zero-source problem marches
+    without its source here, as in the engine.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, row, _ in _sub_steps(prob, substep):
+        for m, row, _ in _sub_steps(prob, substep, skip_zero_source=True):
             bad = ~np.isfinite(row)
             if bad.any():
                 return m, int(np.argmax(bad))

@@ -175,6 +175,18 @@ def test_validate_fails_below_the_cost_floor(tmp_path, capsys):
     assert "condition1: FAIL" in capsys.readouterr().out
 
 
+def test_validate_prints_a_near_tie_at_full_precision(tmp_path, capsys):
+    """Both sides of this condition 4 are 0.020000000000000004 and the check
+    is strict; at 6 digits the failure would read like a tie of 0.02."""
+    code, _ = run(tmp_path, "validate", {"variant": "BK", "instrument": {"kind": "put"},
+                                         "params": {"lambda_C": 0.05}})
+    assert code == 1
+    out = capsys.readouterr().out
+    assert ("condition4: FAIL (q_S - gamma_S = 0.020000000000000004 vs "
+            "M = 0.020000000000000004 at S_max = 32)") in out
+    assert "condition2: PASS (c * bracket = 1 * 0.09 = 0.09 vs 1)" in out
+
+
 def test_greeks_writes_the_report(tmp_path, capsys):
     code, out = run(tmp_path, "greeks", {"grid": FAST_GRID})
     assert code == 0

@@ -183,6 +183,16 @@ def test_validity_checks_report_the_numbers():
     assert "0.0687492" in reports[2].detail
 
 
+def test_validity_checks_print_sides_that_tie_at_6_digits_in_full():
+    p = desk_params()
+    floor = turnover_factor(p.dt) * p.C_S
+    tied = validity_checks(desk_params(sigma=floor * (1.0 + 1e-9)), S_max=32.0)[0]
+    assert tied.detail == (f"sigma = {floor * (1.0 + 1e-9):.17g} vs cost floor "
+                           f"sqrt(2/(pi*dt))*C_S = {floor:.17g}")
+    assert validity_checks(p, S_max=32.0)[0].detail == (
+        f"sigma = 0.1 vs cost floor sqrt(2/(pi*dt))*C_S = {floor:.6g}")
+
+
 # --- Properties ---
 
 @given(sigma=st.floats(1e-3, 2.0), c_s=st.floats(0.0, 0.1), dt=st.floats(1e-4, 0.5))

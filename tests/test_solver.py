@@ -337,6 +337,37 @@ def test_desk_grid_step_is_monotone():
     assert _upper_weight_under_the_cost_sink(pl).min() >= 0.0
 
 
+def _centre_weight_under_the_source(pl):
+    """b - delta*(max(rho+, rho-, 0) + kappa/h_f): the weight on V[i] once the
+    exposure rates and the forward-differenced cost sink are counted."""
+    return pl.b - pl.delta * (max(pl.rates[0], pl.rates[1], 0.0) + pl.rates[2] / pl.grid.h[1:])
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.2, 0.3])
+def test_desk_grid_centre_weight_stays_nonnegative_under_the_source(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pl = solver.plan(desk_problem(sigma=sigma))
+    assert _centre_weight_under_the_source(pl).min() > 0.0
+
+
+def test_a_source_that_outweighs_b_warns_at_its_first_node():
+    """At n_time = 4 the desk BKTC call at sigma = 0.2 takes 212 sub-steps,
+    which keep b >= 0 but not b less what the source weighs on V[i]. The
+    plan names the node, the weight, its value and the spot; nsub and the
+    numbers stay as they were."""
+    prob = desk_problem(sigma=0.2, grid=desk_grid(n_time=4))
+    with pytest.warns(ModelAssumptionWarning, match="centre weight") as caught:
+        pl = solver.plan(prob)
+    assert pl.nsub == 212 and pl.b.min() >= 0.0
+    weight = _centre_weight_under_the_source(pl)
+    k = int(np.flatnonzero(weight < 0.0)[0])
+    message = next(str(w.message) for w in caught if "centre weight" in str(w.message))
+    assert (f"b - delta*(max(rho+, rho-, 0) + kappa/h_f) = {weight[k]:.6g} < 0 at node "
+            f"{k + 1} (S = {pl.grid.spots[k + 1]:.6g})") in message
+    assert weight.min() == pytest.approx(-2.6e-4, rel=0.01)
+
+
 @pytest.mark.parametrize("C_C, n_space", [(0.1, 10), (0.2, 20)])
 def test_a_cost_sink_that_outweighs_c_warns_at_its_first_node(C_C, n_space):
     """A large counterparty-bond cost takes delta*kappa/h_f off the upper
@@ -488,22 +519,141 @@ def _sigma_sweep_stack():
     return members
 
 
-def test_one_source_call_per_sub_step_slot(monkeypatch):
-    """Members with different sub-step counts share every sub-step call: a
-    level costs the largest nsub in source calls, not the sum over nsubs."""
-    members = _sigma_sweep_stack()
-    nsubs = [solver.plan(prob).nsub for prob in members]
-    assert set(nsubs) == set(range(1, 10))
+def _count_source_calls(monkeypatch):
+    """Record the number of rows of every ``solver._source_into`` call."""
     calls = []
     source = solver._source_into  # what the march calls once per sub-step slot
     monkeypatch.setattr(solver, "_source_into", lambda out, rows, *views:
                         calls.append(len(rows)) or source(out, rows, *views))
+    return calls
+
+
+def test_one_source_call_per_sub_step_slot(monkeypatch):
+    """Members with different sub-step counts share every sub-step call: a
+    level costs the largest nsub in source calls, not the sum over nsubs.
+    A slot evaluates the source over its covering prefix, the rows up to
+    its last member with a source; RiskFree rows sort last among equal
+    nsub, and a slot of RiskFree rows alone makes no source call."""
+    members = _sigma_sweep_stack()
+    nsubs = [solver.plan(prob).nsub for prob in members]
+    assert set(nsubs) == set(range(1, 10))
+    calls = _count_source_calls(monkeypatch)
     solve_stack(members)
     n_time = members[0].grid.n_time
-    assert len(calls) == n_time * 9
-    # slot j of each level updates the members whose nsub exceeds j
-    per_level = [sum(nsub > j for nsub in nsubs) for j in range(9)]
+    # stack order: nsub largest first, RiskFree last among equals
+    order = sorted((-nsub, prob.variant is ModelVariant.RISK_FREE)
+                   for nsub, prob in zip(nsubs, members))
+    per_level = []
+    for j in range(9):
+        # slot j of each level updates the members whose nsub exceeds j
+        prefix = [risk_free for minus_nsub, risk_free in order if -minus_nsub > j]
+        m = max((i + 1 for i, risk_free in enumerate(prefix) if not risk_free), default=0)
+        if m:
+            per_level.append(m)
+    # only sigma = 0.3's RiskFree twin reaches nsub 9, so its slot has no source
+    assert len(per_level) == 8
     assert calls == per_level * n_time
+
+
+def test_a_risk_free_solve_makes_no_source_call(monkeypatch):
+    """RiskFree rates are all +0.0: its march is the linear update alone. A
+    -0.0 rate keeps the source (BKTC with R_B = R_C = 1, s_F = 0 and
+    lambda_B = 0 < r*C_B has rates (+0.0, -0.0, +0.0))."""
+    calls = _count_source_calls(monkeypatch)
+    solve(desk_problem(variant=ModelVariant.RISK_FREE))
+    assert calls == []
+    negative_zero = desk_problem(s_F=0.0, R_C=1.0, R_B=1.0, lambda_B=0.0, C_B=0.01)
+    rates = solver.plan(negative_zero).rates
+    assert rates == (0.0, 0.0, 0.0) and [math.copysign(1.0, r) for r in rates] == [1, -1, 1]
+    assert list(solver._has_source([rates, (0.0, 0.0, 0.0)])) == [True, False]
+    solve(negative_zero)
+    assert calls == [1] * negative_zero.grid.n_time * solver.plan(negative_zero).nsub
+
+
+@st.composite
+def zero_source_stacks(draw):
+    """Two to six desk-like problems on one small grid, mixing RiskFree,
+    BK and BKTC members whose sigmas spread their nsub, so that zero-source
+    rows land between rows with a source. Recoveries of 1 and s_F = 0 make
+    BK rows zero-source too, and BKTC rows with lambda_B = 0 < r*C_B the
+    (+0.0, -0.0, +0.0) row that keeps its source."""
+    spec = GridSpec(x_minus=X_MINUS, x_plus=X_PLUS, x_star=math.log(STRIKE),
+                    alpha=(X_PLUS - X_MINUS) / 10.0, n_space=draw(st.integers(6, 30)),
+                    n_time=draw(st.integers(1, 4)), horizon=draw(st.floats(0.1, 1.0)))
+    members = []
+    for _ in range(draw(st.integers(2, 6))):
+        full = st.floats(0.0, 1.0)
+        overrides = dict(sigma=draw(st.floats(0.1, 0.5)),
+                         s_F=draw(st.sampled_from((0.0, 0.01))),
+                         R_B=draw(st.sampled_from((1.0, 0.4))), R_C=draw(st.sampled_from((1.0, 0.4))),
+                         lambda_B=draw(st.sampled_from((0.0, 0.05))),
+                         lambda_C=draw(full) * 0.1, C_B=draw(full) * 0.01)
+        members.append(desk_problem(
+            variant=draw(st.sampled_from(ModelVariant)), grid=spec,
+            instrument=Instrument(draw(st.sampled_from(("call", "put"))), STRIKE), **overrides))
+    return members
+
+
+@given(members=zero_source_stacks())
+@settings(max_examples=40, deadline=None)
+def test_zero_source_rows_march_the_linear_update_bit_for_bit(members):
+    """Whether a row skips its source changes no bit: each member of a mixed
+    stack equals its lone solve and the per-sub-step reference march, which
+    subtracts every row's source."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)
+        stacked = solve_stack(members, time_index=None)
+        for prob, values in zip(members, stacked):
+            lone = solve(prob).values
+            np.testing.assert_array_equal(values, lone)
+            np.testing.assert_array_equal(values, serial_solve(prob))
+
+
+def test_a_zero_source_blow_up_names_where_the_linear_update_overflows():
+    """Without sub-steps the RiskFree sigma = 0.3 desk call blows up. Its
+    march has no source, so the error names the first node where the linear
+    update itself overflows: (260, 100). With a source of rate +0 the same
+    march read (260, 90), where 0*inf first turned NaN once the slope
+    overflowed. Lone, in the sigma-sweep stack and in the reference loop
+    alike."""
+    blow = desk_problem(variant=ModelVariant.RISK_FREE, sigma=0.3)
+    assert first_non_finite(blow, substep=False) == (260, 100)
+    members = _sigma_sweep_stack()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)
+        with pytest.raises(NonFiniteValue) as lone:
+            solve(blow, substep=False)
+        assert (lone.value.step, lone.value.node) == (260, 100)
+        outs = solve_stack(members, substep=False)
+        assert isinstance(outs[-1], NonFiniteValue)
+        assert (outs[-1].step, outs[-1].node) == (260, 100)
+        for prob, row in zip(members[:-1], outs[:-1]):
+            np.testing.assert_array_equal(row, solve(prob, substep=False).terminal)
+
+
+@pytest.mark.parametrize("n_space, substep, failure", [(20, True, (190, 20)),
+                                                        (200, False, (106, 55))],
+                         ids=["sub-steps-20", "no-sub-steps-200"])
+def test_an_overflowing_wall_fails_its_member_only(n_space, substep, failure):
+    """The q_S = 800 RiskFree call's model-consistent wall outgrows the
+    floats: the wall reads inf instead of raising OverflowError, whatever
+    nsub and the wall block, so the member fails with NonFiniteValue and a
+    healthy member marched with it keeps its lone values."""
+    grid = desk_grid(n_space=n_space)
+    blow = desk_problem(variant=ModelVariant.RISK_FREE, q_S=800.0, grid=grid)
+    healthy = desk_problem(grid=grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)
+        assert first_non_finite(blow, substep) == failure
+        with pytest.raises(NonFiniteValue) as lone:
+            solve(blow, substep)
+        assert (lone.value.step, lone.value.node) == failure
+        want = solve(healthy, substep).values
+        for members in ([healthy, blow], [blow, healthy]):
+            outs = solve_stack(members, time_index=None, substep=substep)
+            bad, good = outs[members.index(blow)], outs[members.index(healthy)]
+            assert isinstance(bad, NonFiniteValue) and (bad.step, bad.node) == failure
+            np.testing.assert_array_equal(good, want)
 
 
 def test_a_blow_up_inside_a_mixed_stack_stays_in_its_slot():
