@@ -66,12 +66,17 @@ def _merge(section: str, given, defaults: dict) -> dict:
 
 
 def _number(path: str, value) -> float:
-    """A config number as a float; booleans and non-numbers name their path."""
+    """A config number as a float; booleans, non-numbers, NaN and +-Infinity
+    (which JSON input may hold) name their path."""
     if not isinstance(value, bool):
         try:
-            return float(value)
+            x = float(value)
         except (TypeError, ValueError):
             pass
+        else:
+            if math.isfinite(x):
+                return x
+            raise ConfigError(f"{path} must be a finite number, got {value!r}")
     raise ConfigError(f"{path} must be a number, got {value!r}")
 
 

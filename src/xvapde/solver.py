@@ -32,9 +32,10 @@ are exactly those of its lone solve.
 
 A sub-step allocates nothing: each stack gets fixed buffers once, and
 views of them for every sub-step are built up front, so a sub-step is a
-fixed list of numpy calls writing through ``out=``. Finiteness is checked
-once per level. A member whose level turned non-finite has that level
-replayed alone from its saved start row, with a check after every
+fixed list of numpy calls writing through ``out=``; the walls of every
+level are made once per march. Finiteness is checked once, on the last
+level: a non-finite value stays non-finite. A member that ends non-finite
+is marched again alone from its start row, with a check after every
 sub-step, so its NonFiniteValue names the same step and node a check
 after every sub-step would.
 
@@ -77,7 +78,6 @@ __all__ = ["Problem", "Surface", "Plan", "plan", "step_coefficients", "source_ra
            "nonlinear_source", "step", "solve", "solve_stack", "solve_pairs", "solved"]
 
 DRIFT_MODES = ("forward", "upwind")
-_WALL_BLOCK = 512  # sub-steps of wall data made at once
 # the conditions a solve only warns on, with the argument each one backs
 _ADVISORY = {"condition2": "contraction", "condition4": "comparison"}
 
@@ -445,24 +445,25 @@ def _stack(rows: np.ndarray, nsubs: np.ndarray, data, h: np.ndarray):
     return bufs, slots, counts.count(size) % 2
 
 
-def _replay(data, start: np.ndarray, walls: np.ndarray, m: int, nsub: int,
+def _locate(data, start: np.ndarray, walls: np.ndarray, first: int, nsub: int,
             h: np.ndarray) -> NonFiniteValue:
-    """The error of one member whose level ``m`` turned non-finite.
+    """The error of one member whose march from level ``first`` ended non-finite.
 
-    Replays the level alone from its start row on a one-row stack, through
+    Marches the member alone from its start row on a one-row stack, through
     the same sub-step code, and checks after every sub-step: the first
     non-finite node of the first failing sub-step is the one a check after
     every sub-step of the whole stack would report.
     """
     bufs, slots, _ = _stack(start[None, :].copy(), np.array([nsub]), data, h)
     q = 0
-    for (views, _), wall in zip(slots[0], walls):
-        _substep(*views, wall)
-        q ^= 1
-        bad = ~np.isfinite(bufs[q][0])
-        if bad.any():
-            return NonFiniteValue(m, int(np.argmax(bad)))
-    raise AssertionError(f"level {m} turned non-finite, yet its replay stayed finite")
+    for m, level in enumerate(walls, first):
+        for (views, _), wall in zip(slots[q], level):
+            _substep(*views, wall)
+            q ^= 1
+            bad = ~np.isfinite(bufs[q][0])
+            if bad.any():
+                return NonFiniteValue(m, int(np.argmax(bad)))
+    raise AssertionError("the march ended non-finite, yet its lone march stayed finite")
 
 
 def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> list:
@@ -477,17 +478,18 @@ def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> 
     a slot's source covers the fewest rows it can (see ``_has_source``);
     nsub stays the first sort key, so every slot still updates a prefix.
     A sub-step allocates nothing: it works on fixed buffers through views
-    built once per stack (see ``_stack``).
+    built once per stack (see ``_stack``), and the wall data of every level
+    is made once, up front.
 
     Rows never mix, and a non-finite value stays non-finite at every later
-    sub-step (b*x[i] carries it, and a wall reaches its neighbour through a
-    or c), so finiteness is checked once per level, with the level's wall
-    data. A member that fails has its level replayed alone from the saved
-    start row, one checked sub-step at a time (``_replay``), which gives the
-    same NonFiniteValue(step, node) as a check after every sub-step; it
-    then leaves the stack and the others march on. A zero-source row's
-    replay also runs without the source, so its error names the first
-    node where the linear update overflows.
+    sub-step (b*x[i] carries it, a wall reaches node 1 or N-1 through a or
+    c, and walls overwrite only the wall columns), so finiteness is checked
+    once, on the last level. Every member that ends non-finite is marched
+    again alone from its start row, one checked sub-step at a time
+    (``_locate``), which gives the same NonFiniteValue(step, node) as a
+    check after every sub-step. A zero-source row's lone march also runs
+    without the source, so its error names the first node where the linear
+    update overflows.
 
     ``keep`` is the level to return, or None for every level from ``first``
     on. One outcome per plan: the kept values, or the NonFiniteValue that
@@ -496,11 +498,8 @@ def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> 
     grid, dtau, h = plans[0].grid, plans[0].dtau, plans[0].grid.h[1:]
     has = _has_source([pl.rates for pl in plans])
     # stack row -> plan index: nsub largest first, zero-source rows last among equals
-    live = sorted(range(len(plans)), key=lambda i: (-plans[i].nsub, not has[i]))
-    plans = [plans[i] for i in live]
-    # wall data is made a block of levels at a time: one call per member
-    # per block, without holding every sub-step of a fine grid at once
-    block = max(1, _WALL_BLOCK // plans[0].nsub)
+    order = sorted(range(len(plans)), key=lambda i: (-plans[i].nsub, not has[i]))
+    plans = [plans[i] for i in order]
     nsubs = np.array([pl.nsub for pl in plans])
     # a, b, c, delta and the three source rates: one row per member, laid
     # out on the nodes with zeros at the walls (see ``_stack``)
@@ -508,64 +507,31 @@ def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> 
     data = [np.pad([getattr(pl, w) for pl in plans], ((0, 0), (1, 1))) for w in "abc"]
     data += [np.repeat([[pl.delta] for pl in plans], width, axis=1),
              *(np.repeat([[pl.rates[k]] for pl in plans], width, axis=1) for k in range(3))]
-    out: list = [None] * len(plans)
-    bufs, slots, flip = _stack(np.asarray(rows, dtype=float)[live], nsubs, data, h)
+    walls = _walls(plans, dtau, range(first, last), nsubs[0])
+    rows = np.asarray(rows, dtype=float)
+    bufs, slots, flip = _stack(rows[order], nsubs, data, h)
+    record = range(first, last + 1) if keep is None else range(keep, keep + 1)
+    kept = np.empty((len(plans), len(record), width))
     q = 0
-    x = bufs[q]
-    saved = np.empty_like(x)
-    levels = None
-    if keep is None:
-        levels = np.empty((len(plans), last - first + 1, x.shape[1]))
-        levels[:, 0] = x
-    elif keep == first:
-        for r, row in zip(live, x):
-            out[r] = row.copy()
     # non-finiteness is detected below; let an unstable march overflow quietly
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(first, last):
-            if (m - first) % block == 0:
-                walls = _walls(plans, dtau, range(m, min(m + block, last)), nsubs[0])
-                walls_finite = np.isfinite(walls).all(axis=(1, 2, 3))
-                t = 0
-            # the level's start rows, kept for a replay
-            if levels is not None:
-                start = levels[:, m - first]
-            else:
-                start = saved
-                np.copyto(saved, x)
-            for (views, back), wall in zip(slots[q], walls[t]):
+        for m in range(first, last + 1):
+            if m in record:
+                kept[:, m - record.start] = bufs[q]
+            if m == last:
+                break
+            for (views, back), wall in zip(slots[q], walls[m - first]):
                 _substep(*views, wall)
                 if back is not None:
                     np.copyto(*back)
             q ^= flip
-            x = bufs[q]
-            if not (walls_finite[t] and np.isfinite(x).all()):
-                ok = np.isfinite(x).all(axis=1) & np.isfinite(walls[t]).all(axis=(0, 2))
-                for r in np.flatnonzero(~ok):
-                    out[live[r]] = _replay([d[r:r + 1] for d in data], start[r],
-                                           walls[t][:, r:r + 1], m, nsubs[r], h)
-                live = [live[r] for r in np.flatnonzero(ok)]
-                if not live:
-                    return out
-                plans = [pl for pl, kept in zip(plans, ok) if kept]
-                nsubs, walls, data = nsubs[ok], walls[:, :, ok], [d[ok] for d in data]
-                walls_finite = np.isfinite(walls).all(axis=(1, 2, 3))
-                if levels is not None:
-                    levels = levels[ok]
-                # the smaller stack gets its own buffers and views
-                bufs, slots, flip = _stack(x[ok], nsubs, data, h)
-                q = 0
-                x = bufs[q]
-                saved = np.empty_like(x)
-            t += 1
-            if levels is not None:
-                levels[:, m + 1 - first] = x
-            elif m + 1 == keep:
-                for r, row in zip(live, x):
-                    out[r] = row.copy()
-    if levels is not None:
-        for r, vals in zip(live, levels):
-            out[r] = vals
+        out: list = [None] * len(plans)
+        for r, ok in enumerate(np.isfinite(bufs[q]).all(axis=1)):
+            if ok:
+                out[order[r]] = kept[r] if keep is None else kept[r, 0]
+            else:
+                out[order[r]] = _locate([d[r:r + 1] for d in data], rows[order[r]],
+                                        walls[:, :, r:r + 1], first, nsubs[r], h)
     return out
 
 

@@ -13,7 +13,7 @@ from xvapde import (
     build_space_grid,
     stability_bound,
 )
-from xvapde.instrument import boundary_values, payoff
+from xvapde.instrument import boundary_curves, payoff
 from xvapde.solver import nonlinear_source, source_rates, step_coefficients
 
 STRIKE = 8.0
@@ -47,11 +47,12 @@ def _sub_steps(prob: Problem, substep: bool = True, skip_zero_source: bool = Fal
     """The plain per-level, per-sub-step loop: yields (level, row, level done)
     after every sub-step.
 
-    Rebuilds the wall data on every sub-step from the public primitives,
-    with nothing planned or stacked. With ``skip_zero_source``, a problem
-    whose three source rates are all +0.0, bit for bit, marches without its
-    source, as the engine does: that source is an exact +0 on finite rows,
-    and leaving it out only moves where a blow-up first reads non-finite.
+    Builds everything from the public primitives, with nothing planned or
+    stacked, and reads the wall curves at every sub-step's tau. With
+    ``skip_zero_source``, a problem whose three source rates are all +0.0,
+    bit for bit, marches without its source, as the engine does: that
+    source is an exact +0 on finite rows, and leaving it out only moves
+    where a blow-up first reads non-finite.
     """
     p = prob.effective_params()
     grid = build_space_grid(prob.grid)
@@ -64,6 +65,7 @@ def _sub_steps(prob: Problem, substep: bool = True, skip_zero_source: bool = Fal
     delta = dtau / nsub
     a, b, c = step_coefficients(grid, p, delta, prob.drift_discretization)
     zero_source = skip_zero_source and not np.array(source_rates(p)).view(np.int64).any()
+    walls = boundary_curves(prob.instrument, grid, p, prob.boundary_mode)
     row = payoff(prob.instrument, grid)
     for m in range(prob.grid.n_time):
         for j in range(1, nsub + 1):
@@ -71,8 +73,8 @@ def _sub_steps(prob: Problem, substep: bool = True, skip_zero_source: bool = Fal
             if not zero_source:
                 interior = interior - delta * nonlinear_source(row, grid, p)
             tau = (m + 1) * dtau if j == nsub else m * dtau + j * delta
-            lo, hi = boundary_values(prob.instrument, grid, tau, p, prob.boundary_mode)
-            row = np.concatenate([[lo], interior, [hi]])
+            lo, hi = walls([tau])
+            row = np.concatenate([lo, interior, hi])
             yield m, row, j == nsub
 
 
@@ -87,13 +89,17 @@ def first_non_finite(prob: Problem, substep: bool = True):
     """(step, node) of the first sub-step of the plain loop whose row holds a
     non-finite value, the first such node; None if the march stays finite.
 
-    The reference for ``NonFiniteValue``: the march checks once per level,
-    and this checks after every sub-step. A zero-source problem marches
-    without its source here, as in the engine.
+    The reference for ``NonFiniteValue``: the march checks its last level
+    only, and this checks after every sub-step. It marches on to the end and
+    asserts the premise of that single check: every row after the first
+    non-finite one holds a non-finite value too. A zero-source problem
+    marches without its source here, as in the engine.
     """
+    first = None
     with np.errstate(over="ignore", invalid="ignore"):
         for m, row, _ in _sub_steps(prob, substep, skip_zero_source=True):
             bad = ~np.isfinite(row)
-            if bad.any():
-                return m, int(np.argmax(bad))
-    return None
+            assert first is None or bad.any(), f"step {m} is finite again after {first}"
+            if first is None and bad.any():
+                first = m, int(np.argmax(bad))
+    return first

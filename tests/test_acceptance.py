@@ -9,10 +9,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from xvapde import (
     GridSpec,
     Instrument,
+    ModelAssumptionWarning,
     ModelParams,
     ModelVariant,
     NonFiniteValue,
@@ -233,7 +235,8 @@ def test_criterion_09_oversized_steps_fail_loudly():
     min_b = float(b.min())
     blew = None
     try:
-        solve(prob, substep=False)
+        with pytest.warns(ModelAssumptionWarning, match="centre weight"):
+            solve(prob, substep=False)
     except NonFiniteValue as exc:
         blew = exc
     guarded_finite = bool(np.isfinite(solve(prob).values).all())

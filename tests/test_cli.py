@@ -282,7 +282,12 @@ def test_bad_sweep_values_exit_2(tmp_path, capsys, values, path):
     ("grid", "horizon", False, "must be a number"),
     ("params", "sigma", True, "must be a number"),
     ("params", "lambda_C", "high", "must be a number"),
-], ids=["fractional-count", "boolean-count", "boolean-float", "boolean-param", "string-param"])
+    ("params", "q_S", math.inf, "must be a finite number"),
+    ("grid", "horizon", math.inf, "must be a finite number"),
+    ("params", "r", math.nan, "must be a finite number"),
+    ("grid", "n_space", -math.inf, "must be a finite number"),
+], ids=["fractional-count", "boolean-count", "boolean-float", "boolean-param", "string-param",
+        "infinite-param", "infinite-float", "nan-param", "infinite-count"])
 def test_non_integral_and_boolean_numbers_exit_2(tmp_path, capsys, section, key, value,
                                                  message):
     cfg = {"grid": dict(FAST_GRID)}

@@ -232,7 +232,8 @@ def test_sub_stepping_recovers_the_fine_march():
 
 def test_forced_oversized_step_raises_instead_of_returning_garbage():
     prob = desk_problem(grid=desk_grid(n_space=800))
-    with pytest.raises(NonFiniteValue) as err:
+    with pytest.warns(ModelAssumptionWarning, match="centre weight"), \
+            pytest.raises(NonFiniteValue) as err:
         solve(prob, substep=False)
     assert err.value.step >= 0
     assert 0 <= err.value.node <= 800
@@ -487,10 +488,12 @@ def test_a_non_finite_member_does_not_poison_its_stack():
     only reaches ~1e297) while sigma = 0.1 stays stable; stacked together,
     each keeps its lone result."""
     stable, unstable = desk_problem(sigma=0.1), desk_problem(sigma=0.4)
-    with pytest.raises(NonFiniteValue) as lone:
+    with pytest.warns(ModelAssumptionWarning, match="centre weight"), \
+            pytest.raises(NonFiniteValue) as lone:
         solve(unstable, substep=False)
     for members in ([stable, unstable], [unstable, stable]):
-        outs = solve_stack(members, time_index=None, substep=False)
+        with pytest.warns(ModelAssumptionWarning, match="centre weight"):
+            outs = solve_stack(members, time_index=None, substep=False)
         bad, good = outs[members.index(unstable)], outs[members.index(stable)]
         assert isinstance(bad, NonFiniteValue)
         assert (bad.step, bad.node) == (lone.value.step, lone.value.node)
@@ -637,8 +640,10 @@ def test_a_zero_source_blow_up_names_where_the_linear_update_overflows():
 def test_an_overflowing_wall_fails_its_member_only(n_space, substep, failure):
     """The q_S = 800 RiskFree call's model-consistent wall outgrows the
     floats: the wall reads inf instead of raising OverflowError, whatever
-    nsub and the wall block, so the member fails with NonFiniteValue and a
-    healthy member marched with it keeps its lone values."""
+    nsub, so the member fails with NonFiniteValue and a healthy member
+    marched with it keeps its lone values. Kept at level 0, before the wall
+    overflows, the member still fails: the march checks its last level,
+    not the kept one."""
     grid = desk_grid(n_space=n_space)
     blow = desk_problem(variant=ModelVariant.RISK_FREE, q_S=800.0, grid=grid)
     healthy = desk_problem(grid=grid)
@@ -654,6 +659,9 @@ def test_an_overflowing_wall_fails_its_member_only(n_space, substep, failure):
             bad, good = outs[members.index(blow)], outs[members.index(healthy)]
             assert isinstance(bad, NonFiniteValue) and (bad.step, bad.node) == failure
             np.testing.assert_array_equal(good, want)
+        good, bad = solve_stack([healthy, blow], time_index=0, substep=substep)
+        assert isinstance(bad, NonFiniteValue) and (bad.step, bad.node) == failure
+        np.testing.assert_array_equal(good, want[0])
 
 
 def test_a_blow_up_inside_a_mixed_stack_stays_in_its_slot():
@@ -692,10 +700,11 @@ def test_a_blow_up_inside_a_mixed_stack_stays_in_its_slot():
 ], ids=["wall-mid-level-200", "wall-mid-level-400", "interior", "no-sub-steps"])
 def test_non_finite_value_is_the_first_failing_sub_step(overrides, n_space, substep, nsub,
                                                         failure):
-    """The march checks finiteness once per level and replays a failing
-    member's level alone; the (step, node) it reports must be the first
-    non-finite sub-step of the plain per-sub-step loop, lone and stacked
-    between a stable desk member and a RiskFree sigma = 0.3 member."""
+    """The march checks finiteness on its last level only and marches a
+    failing member again alone, checking every sub-step; the (step, node) it
+    reports must be the first non-finite sub-step of the plain per-sub-step
+    loop, lone and stacked between a stable desk member and a RiskFree
+    sigma = 0.3 member."""
     grid = desk_grid(n_space=n_space)
     blow = desk_problem(grid=grid, **overrides)
     members = [desk_problem(grid=grid), blow,
