@@ -14,6 +14,8 @@ from xvapde import (
     GridSpec,
     Instrument,
     ModelParams,
+    ModelVariant,
+    Problem,
     build_space_grid,
     compare_models,
     cpty_cost_rate,
@@ -54,7 +56,7 @@ def main() -> None:
     print_checks("sigma = 2% against the same costs", replace(PARAMS, sigma=0.02))
     print()
 
-    gap = compare_models(PARAMS, GRID, CALL)
+    gap = compare_models(Problem(PARAMS, ModelVariant.BKTC, GRID, CALL))
     spots = build_space_grid(GRID).spots
     print("credit-only minus full-cost price (what the costs charge):")
     print()

@@ -18,12 +18,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .csvio import write_rows
-from .grid import GridSpec, build_space_grid
-from .instrument import Instrument
+from .grid import build_space_grid
 from .model import ModelParams, ModelVariant
 from .solver import Problem, solve_pairs, solved
 
-__all__ = ["closed_form_call", "closed_form_call_delta", "cva_profile",
+__all__ = ["closed_form_call", "closed_form_call_delta", "cva_rows", "cva_profile",
            "compare_models", "sweep", "SweepResult"]
 
 _PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
@@ -59,19 +58,28 @@ def closed_form_call_delta(S, K: float, r: float, carry: float, sigma: float, ta
     return out if out.ndim else float(out)
 
 
+def _with_risk_free(prob: Problem) -> tuple[Problem, Problem]:
+    """``prob`` and its RiskFree twin, the pair a CVA subtracts."""
+    return prob, replace(prob, variant=ModelVariant.RISK_FREE)
+
+
+def cva_rows(prob: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terminal rows (price, risk-free price, price - risk-free price), per node."""
+    return solved(solve_pairs([_with_risk_free(prob)])[0])
+
+
 def cva_profile(prob: Problem) -> np.ndarray:
     """Terminal-row adjustment solve(variant) - solve(RISK_FREE), per node."""
-    return solved(solve_pairs([(prob, replace(prob, variant=ModelVariant.RISK_FREE))])[0])[2]
+    return cva_rows(prob)[2]
 
 
-def compare_models(p: ModelParams, grid_spec: GridSpec, inst: Instrument,
-                   **problem_kwargs) -> np.ndarray:
+def compare_models(prob: Problem) -> np.ndarray:
     """Terminal-row cost-of-costs gap solve(BK) - solve(BKTC), per node.
 
-    Nonnegative for convex payoffs: every cost term lowers the seller's price.
+    Both solves are ``prob`` under those variants; ``prob.variant`` is not
+    read. Nonnegative for convex payoffs: every cost term lowers the seller's price.
     """
-    pair = (Problem(p, ModelVariant.BK, grid_spec, inst, **problem_kwargs),
-            Problem(p, ModelVariant.BKTC, grid_spec, inst, **problem_kwargs))
+    pair = (replace(prob, variant=ModelVariant.BK), replace(prob, variant=ModelVariant.BKTC))
     return solved(solve_pairs([pair])[0])[2]
 
 
@@ -89,7 +97,6 @@ class SweepResult:
     cvas: tuple
     spots: np.ndarray
     variant: ModelVariant
-    grid_spec: GridSpec
     errors: dict[float, str]
 
     def to_csv(self, path) -> None:
@@ -125,19 +132,12 @@ def sweep(base: Problem, parameter: str, values) -> SweepResult:
         except ValueError as exc:
             outcomes[v] = exc
             continue
-        pairs[v] = (prob, replace(prob, variant=ModelVariant.RISK_FREE))
+        pairs[v] = _with_risk_free(prob)
     outcomes.update(zip(pairs, solve_pairs(list(pairs.values()))))
-
-    prices, cvas, errors = [], [], {}
-    for v in vals:
-        out = outcomes[v]
-        if isinstance(out, Exception):
-            prices.append(None)
-            cvas.append(None)
-            errors[v] = f"{type(out).__name__}: {out}"
-        else:
-            prices.append(out[0])
-            cvas.append(out[2])
-    return SweepResult(parameter=parameter, values=vals, prices=tuple(prices),
-                       cvas=tuple(cvas), spots=build_space_grid(base.grid).spots,
-                       variant=base.variant, grid_spec=base.grid, errors=errors)
+    failed = {v for v in vals if isinstance(outcomes[v], Exception)}
+    return SweepResult(
+        parameter=parameter, values=vals,
+        prices=tuple(None if v in failed else outcomes[v][0] for v in vals),
+        cvas=tuple(None if v in failed else outcomes[v][2] for v in vals),
+        spots=build_space_grid(base.grid).spots, variant=base.variant,
+        errors={v: f"{type(outcomes[v]).__name__}: {outcomes[v]}" for v in vals if v in failed})

@@ -13,19 +13,18 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .analytics import sweep
+from .analytics import cva_rows, sweep
 from .csvio import write_rows
 from .errors import ConfigError, EngineError, InvalidSpec
 from .greeks import DEFAULT_EPS, greeks_report
 from .grid import GridSpec, build_space_grid
 from .instrument import BOUNDARY_MODES, Instrument
 from .model import ModelParams, ModelVariant
-from .solver import DRIFT_MODES, Problem, solve, solve_pairs, solved
+from .solver import DRIFT_MODES, Problem, solve
 
 __all__ = ["resolve_config", "build_problem", "main"]
 
@@ -80,6 +79,13 @@ def _number(path: str, value) -> float:
     raise ConfigError(f"{path} must be a number, got {value!r}")
 
 
+def _positive(path: str, value) -> float:
+    x = _number(path, value)
+    if not x > 0.0:
+        raise ConfigError(f"{path} must be positive, got {value!r}")
+    return x
+
+
 def _integer(path: str, value) -> int:
     """A config count; a number with a fractional part is rejected, not truncated."""
     x = _number(path, value)
@@ -102,9 +108,10 @@ def resolve_config(cfg: dict) -> dict:
     instrument = _merge("instrument", top["instrument"], INSTRUMENT_DEFAULTS)
     greeks = _merge("greeks", top["greeks"], GREEKS_DEFAULTS)
     if grid["x_star"] is None:
-        grid["x_star"] = math.log(float(instrument["strike"]))
+        grid["x_star"] = math.log(_positive("instrument.strike", instrument["strike"]))
     if grid["alpha"] is None:
-        grid["alpha"] = (float(grid["x_plus"]) - float(grid["x_minus"])) / 10.0
+        grid["alpha"] = (_number("grid.x_plus", grid["x_plus"])
+                         - _number("grid.x_minus", grid["x_minus"])) / 10.0
     if top["variant"] not in VARIANT_TAGS:
         raise ConfigError(f"variant must be one of {VARIANT_TAGS}, got {top['variant']!r}")
     if top["boundary_mode"] not in BOUNDARY_MODES:
@@ -172,9 +179,12 @@ def _load_config(path: str | None) -> dict:
 
 
 def _write_resolved(resolved: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
-    (out_dir / "resolved_config.json").write_text(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "resolved_config.json").write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to --out {out_dir}: {exc}") from exc
 
 
 def _cmd_validate(resolved: dict, out_dir: Path) -> int:
@@ -196,9 +206,8 @@ def _cmd_price(resolved: dict, out_dir: Path) -> int:
 
 def _cmd_greeks(resolved: dict, out_dir: Path) -> int:
     prob = build_problem(resolved)
-    eps = resolved["greeks"]
-    rep = greeks_report(prob, eps_sigma=_number("greeks.eps_sigma", eps["eps_sigma"]),
-                        eps_r=_number("greeks.eps_r", eps["eps_r"]))
+    rep = greeks_report(prob, **{k: _positive(f"greeks.{k}", v)
+                                 for k, v in resolved["greeks"].items()})
     rep.to_csv(out_dir / "greeks.csv")
     i = build_space_grid(prob.grid).nearest_index(math.log(prob.instrument.strike))
     print(f"at S = {rep.spots[i]:.6g}: delta = {rep.delta[i]:.6g}, "
@@ -208,14 +217,12 @@ def _cmd_greeks(resolved: dict, out_dir: Path) -> int:
 
 def _cmd_cva(resolved: dict, out_dir: Path) -> int:
     prob = build_problem(resolved)
-    full, base, cva = solved(solve_pairs(
-        [(prob, replace(prob, variant=ModelVariant.RISK_FREE))])[0])
+    full, base, cva = cva_rows(prob)
     grid = build_space_grid(prob.grid)
-    spots = grid.spots
     write_rows(out_dir / "cva.csv", ("S", "price", "risk_free_price", "cva"),
-               [((), np.column_stack([spots, full, base, cva]))])
+               [((), np.column_stack([grid.spots, full, base, cva]))])
     i = grid.nearest_index(math.log(prob.instrument.strike))
-    print(f"cva at S = {spots[i]:.6g}: {cva[i]:.10g}")
+    print(f"cva at S = {grid.spots[i]:.6g}: {cva[i]:.10g}")
     return 0
 
 

@@ -30,7 +30,7 @@ __all__ = ["GreeksReport", "HedgeNotionals", "delta_gamma", "bump_greek",
 DEFAULT_EPS = {"vega": 1e-3, "rho": 1e-4}
 
 
-def _one_sided_weights(offsets: np.ndarray, cubic_term: float = 0.0) -> np.ndarray:
+def _one_sided_weights(offsets: np.ndarray, cubic_term: float) -> np.ndarray:
     """Weights w with sum_j w_j f(x + d_j) = f'(x) + cubic_term f'''(x) + ...
 
     Given four offsets, the spare degree of freedom pins the f''' coefficient
@@ -39,12 +39,8 @@ def _one_sided_weights(offsets: np.ndarray, cubic_term: float = 0.0) -> np.ndarr
     stencil next to the biased central interior makes smooth exponential
     profiles look locally non-monotone across the junction.
     """
-    lhs = np.vstack([offsets ** k / math.factorial(k) for k in range(len(offsets))])
-    rhs = np.zeros(len(offsets))
-    rhs[1] = 1.0
-    if len(offsets) > 3:
-        rhs[3] = cubic_term
-    return np.linalg.solve(lhs, rhs)
+    lhs = np.vstack([offsets ** k / math.factorial(k) for k in range(4)])
+    return np.linalg.solve(lhs, np.array([0.0, 1.0, 0.0, cubic_term]))
 
 
 def _dx(row: np.ndarray, grid) -> np.ndarray:
@@ -54,12 +50,10 @@ def _dx(row: np.ndarray, grid) -> np.ndarray:
     out[1:-1] = (-hf / (hb * (hb + hf)) * row[:-2]
                  + (hf - hb) / (hb * hf) * row[1:-1]
                  + hb / (hf * (hb + hf)) * row[2:])
-    h = grid.h
-    lo = _one_sided_weights(grid.nodes[:4] - grid.nodes[0], h[0] * h[1] / 6.0)
-    hi = _one_sided_weights(grid.nodes[-4:] - grid.nodes[-1], h[-2] * h[-1] / 6.0)
-    k = len(lo)
-    out[0] = lo @ row[:k]
-    out[-1] = hi @ row[-k:]
+    lo = _one_sided_weights(grid.nodes[:4] - grid.nodes[0], hb[0] * hf[0] / 6.0)
+    hi = _one_sided_weights(grid.nodes[-4:] - grid.nodes[-1], hb[-1] * hf[-1] / 6.0)
+    out[0] = lo @ row[:4]
+    out[-1] = hi @ row[-4:]
     return out
 
 
@@ -107,9 +101,8 @@ def _bumped(prob: Problem, which: str, eps: float | None) -> tuple[float, Proble
             replace(prob, params=replace(prob.params, **{name: lo})))
 
 
-def bump_greek(prob: Problem, which: str, eps: float | None = None,
-               time_index: int = -1) -> np.ndarray:
-    """Central-difference sensitivity of the chosen tau level.
+def bump_greek(prob: Problem, which: str, eps: float | None = None) -> np.ndarray:
+    """Central-difference sensitivity of the terminal level, tau = T.
 
     which = "vega" bumps sigma, "rho" bumps r. The down-bump must leave the
     parameters valid; for vega that means sigma - eps must stay above the
@@ -117,7 +110,7 @@ def bump_greek(prob: Problem, which: str, eps: float | None = None,
     at the larger sub-step count of the two.
     """
     eps, up, dn = _bumped(prob, which, eps)
-    up, dn = (solved(row) for row in _solve_stack([up, dn], time_index, ties=[(0, 1)]))
+    up, dn = (solved(row) for row in _solve_stack([up, dn], ties=[(0, 1)]))
     return (up - dn) / (2.0 * eps)
 
 
@@ -136,25 +129,25 @@ class GreeksReport:
                                           self.vega, self.rho]))])
 
 
-def greeks_report(prob: Problem, eps_sigma: float | None = None, eps_r: float | None = None,
-                  time_index: int = -1) -> GreeksReport:
+def greeks_report(prob: Problem, eps_sigma: float | None = None,
+                  eps_r: float | None = None) -> GreeksReport:
     """Delta/Gamma from the base solve, Vega/Rho from four bumped ones.
 
     A bump size left as None comes from ``DEFAULT_EPS``.
 
-    The five solves march together, keeping only the chosen tau level;
+    The five solves march together, keeping only the terminal level;
     each bump pair marches at the larger sub-step count of its two, as in
     ``bump_greek``.
     """
     eps_sigma, sigma_up, sigma_dn = _bumped(prob, "vega", eps_sigma)
     eps_r, r_up, r_dn = _bumped(prob, "rho", eps_r)
     base, s_up, s_dn, up, dn = (solved(row) for row in _solve_stack(
-        [prob, sigma_up, sigma_dn, r_up, r_dn], time_index, ties=[(1, 2), (3, 4)]))
+        [prob, sigma_up, sigma_dn, r_up, r_dn], ties=[(1, 2), (3, 4)]))
     grid = build_space_grid(prob.grid)
     delta, gamma = _delta_gamma_row(base, grid)
     return GreeksReport(spots=grid.spots, delta=delta, gamma=gamma,
                         vega=(s_up - s_dn) / (2.0 * eps_sigma), rho=(up - dn) / (2.0 * eps_r),
-                        tau=float(build_time_grid(prob.grid)[time_index]))
+                        tau=float(build_time_grid(prob.grid)[-1]))
 
 
 @dataclass(frozen=True, eq=False)

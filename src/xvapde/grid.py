@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .model import ModelParams, modified_variance
+from .model import ModelParams, variance_and_drift
 
 __all__ = ["GridSpec", "SpaceGrid", "build_space_grid", "build_time_grid", "stability_bound"]
 
@@ -111,8 +111,7 @@ def stability_bound(grid: SpaceGrid, p: ModelParams) -> float:
     with drift = q_S - gamma_S - sig2/2. Returns +inf when the denominator
     vanishes everywhere (no decay, no diffusion, no drift).
     """
-    sig2 = modified_variance(p)
-    drift = p.q_S - p.gamma_S - 0.5 * sig2
+    sig2, drift = variance_and_drift(p)
     denom = 0.5 * sig2 * (grid.h_plus + grid.h_minus) + abs(drift) / grid.h[1:] + p.r
     worst = float(np.max(denom))
     return 1.0 / worst if worst > 0.0 else math.inf

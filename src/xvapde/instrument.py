@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import MissingPayoff
 from .grid import SpaceGrid
-from .model import (ModelParams, cpty_cost_rate, modified_variance,
-                    positive_exposure_rate)
+from .model import ModelParams, cpty_cost_rate, positive_exposure_rate, variance_and_drift
 
 __all__ = ["Instrument", "BOUNDARY_MODES", "payoff", "boundary_curves", "boundary_values"]
 
@@ -72,11 +71,10 @@ def _wall_stock_rate(p: ModelParams, hb: float, hf: float, cost_sign: float) -> 
     forward first difference d1. Both tend to 1 as the spacings vanish,
     recovering the continuous rate q_S - gamma_S - r - rho_plus -+ kappa.
     """
-    var = modified_variance(p)
+    var, drift = variance_and_drift(p)
     d2 = (2.0 * (math.exp(-hb) - 1.0) / (hb * (hb + hf))
           + 2.0 * (math.exp(hf) - 1.0) / (hf * (hb + hf)))
     d1 = (math.exp(hf) - 1.0) / hf
-    drift = p.q_S - p.gamma_S - 0.5 * var
     return (0.5 * var * d2 + drift * d1 - p.r - positive_exposure_rate(p)
             + cost_sign * cpty_cost_rate(p) * d1)
 

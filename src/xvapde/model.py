@@ -32,6 +32,7 @@ __all__ = [
     "ConditionReport",
     "turnover_factor",
     "modified_variance",
+    "variance_and_drift",
     "cpty_cost_rate",
     "positive_exposure_rate",
     "negative_exposure_rate",
@@ -102,19 +103,30 @@ def turnover_factor(dt: float) -> float:
     return math.sqrt(2.0 / (math.pi * dt))
 
 
+def _cost_floor(p: ModelParams) -> float:
+    """sqrt(2/(pi*dt))*C_S: the volatility condition 1 asks sigma to exceed."""
+    return turnover_factor(p.dt) * p.C_S
+
+
 def modified_variance(p: ModelParams) -> float:
     """Cost-adjusted squared volatility sigma^2 * (1 - sqrt(2/(pi*dt))*C_S/sigma).
 
     Raises WellPosednessViolation when the share-cost drag makes the value
     nonpositive; the pricing equation would turn backward-parabolic.
     """
-    v = p.sigma ** 2 * (1.0 - turnover_factor(p.dt) * p.C_S / p.sigma)
+    v = p.sigma ** 2 * (1.0 - _cost_floor(p) / p.sigma)
     if v <= 0.0:
         raise WellPosednessViolation(
             "condition1 violated: sigma = {:.6g} does not exceed the cost floor "
-            "sqrt(2/(pi*dt))*C_S = {:.6g}".format(p.sigma, turnover_factor(p.dt) * p.C_S)
+            "sqrt(2/(pi*dt))*C_S = {:.6g}".format(p.sigma, _cost_floor(p))
         )
     return v
+
+
+def variance_and_drift(p: ModelParams) -> tuple[float, float]:
+    """(sigma_hat^2, q_S - gamma_S - sigma_hat^2/2): diffusion and drift of log S."""
+    sig2 = modified_variance(p)
+    return sig2, p.q_S - p.gamma_S - 0.5 * sig2
 
 
 def cpty_cost_rate(p: ModelParams) -> float:
@@ -164,7 +176,7 @@ def condition4_bound(p: ModelParams, S_max: float) -> float:
 
 def check_condition1(p: ModelParams) -> bool:
     """True iff sigma > sqrt(2/(pi*dt))*C_S, i.e. the modified variance is positive."""
-    return p.sigma > turnover_factor(p.dt) * p.C_S
+    return p.sigma > _cost_floor(p)
 
 
 def check_condition2(p: ModelParams, c: float = 1.0) -> bool:
@@ -193,7 +205,7 @@ def _sides(x: float, y: float) -> tuple[str, str]:
 
 def validity_checks(p: ModelParams, S_max: float, c: float = 1.0) -> list[ConditionReport]:
     """Evaluate the three checks and report the numbers behind each verdict."""
-    sigma, floor = _sides(p.sigma, turnover_factor(p.dt) * p.C_S)
+    sigma, floor = _sides(p.sigma, _cost_floor(p))
     value, one = _sides(c * condition2_value(p), 1.0)
     drift, bound = _sides(p.q_S - p.gamma_S, condition4_bound(p, S_max))
     return [

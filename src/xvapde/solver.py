@@ -72,6 +72,7 @@ from .model import (
     negative_exposure_rate,
     positive_exposure_rate,
     validity_checks,
+    variance_and_drift,
 )
 
 __all__ = ["Problem", "Surface", "Plan", "plan", "step_coefficients", "source_rates",
@@ -128,10 +129,10 @@ class Surface:
         """The tau = T row."""
         return self.values[-1]
 
-    def value_near_spot(self, spot: float, time_index: int = -1) -> tuple[float, float]:
-        """(node spot, value) at the node nearest the given spot."""
+    def value_near_spot(self, spot: float) -> tuple[float, float]:
+        """(node spot, terminal value) at the node nearest the given spot."""
         i = self.grid.nearest_index(math.log(spot))
-        return float(self.grid.spots[i]), float(self.values[time_index, i])
+        return float(self.grid.spots[i]), float(self.terminal[i])
 
     def to_csv(self, path) -> None:
         """Two header rows (x_i, then S_i), one data row per tau level."""
@@ -149,8 +150,7 @@ def step_coefficients(grid: SpaceGrid, p: ModelParams, dtau: float,
     drift toward its inflow side so a and c stay nonnegative for any sign
     of the drift.
     """
-    sig2 = modified_variance(p)
-    drift = p.q_S - p.gamma_S - 0.5 * sig2
+    sig2, drift = variance_and_drift(p)
     diff = 0.5 * sig2 * dtau
     hf = grid.h[1:]   # forward spacing at interior nodes
     hb = grid.h[:-1]  # backward spacing
@@ -173,16 +173,15 @@ def source_rates(p: ModelParams) -> tuple[float, float, float]:
     return positive_exposure_rate(p), negative_exposure_rate(p), cpty_cost_rate(p)
 
 
-def nonlinear_source(rows: np.ndarray, grid: SpaceGrid, p) -> np.ndarray:
+def nonlinear_source(rows: np.ndarray, grid: SpaceGrid, rates) -> np.ndarray:
     """Funding/credit/cost source at the interior nodes for the given row(s).
 
-    ``rows`` is one row or a (members x nodes) stack. ``p`` is the
-    variant-filtered ModelParams of a row, or the three ``source_rates``,
-    as scalars or as (members x 1) columns for a stack. The cost sink
-    differences the positive part forward, matching the upper-wall side
-    where a call's exposure lives.
+    ``rows`` is one row or a (members x nodes) stack. ``rates`` are the
+    three ``source_rates`` of the variant-filtered parameters, as scalars
+    or as (members x 1) columns for a stack. The cost sink differences the
+    positive part forward, matching the upper-wall side where a call's
+    exposure lives.
     """
-    rates = source_rates(p) if isinstance(p, ModelParams) else p
     rows = np.asarray(rows, dtype=float)
     pos, inner = np.empty_like(rows), rows[..., 1:-1]
     out, slope, neg = (np.empty_like(inner) for _ in range(3))
@@ -262,34 +261,26 @@ def _check_monotone(grid: SpaceGrid, a: np.ndarray, b: np.ndarray, c: np.ndarray
     the cost sink also weigh on V[i], and b - delta*(max(rho+, rho-, 0) +
     kappa/h_f) can still go negative.
     """
-    bad = np.flatnonzero(np.minimum(a, c) < 0.0)
-    if bad.size:
-        k = int(bad[0])
-        name, value = ("a", a[k]) if a[k] < 0.0 else ("c", c[k])
-        warnings.warn(
-            f"non-monotone explicit step: {name} = {value:.6g} < 0 at node {k + 1} "
-            f"(S = {grid.spots[k + 1]:.6g}), so prices may leave their payoff's "
-            "bounds; drift_discretization='upwind' keeps a and c nonnegative",
-            ModelAssumptionWarning, stacklevel=3)
     sink = delta * rates[2] / grid.h[1:]
-    bad = np.flatnonzero((c >= 0.0) & (c - sink < 0.0))
-    if bad.size:
-        k = int(bad[0])
-        warnings.warn(
-            f"non-monotone explicit step: c - delta*kappa/h_f = {c[k] - sink[k]:.6g} < 0 "
-            f"at node {k + 1} (S = {grid.spots[k + 1]:.6g}): the counterparty-bond cost "
-            "sink kappa*|U_x| outweighs the upper neighbour's weight where U_x > 0, so a "
-            "call price may turn negative", ModelAssumptionWarning, stacklevel=3)
     centre = b - delta * (max(rates[0], rates[1], 0.0) + rates[2] / grid.h[1:])
-    bad = np.flatnonzero(centre < 0.0)
-    if bad.size:
-        k = int(bad[0])
-        warnings.warn(
-            f"non-monotone explicit step: b - delta*(max(rho+, rho-, 0) + kappa/h_f) = "
-            f"{centre[k]:.6g} < 0 at node {k + 1} (S = {grid.spots[k + 1]:.6g}): what "
-            "the exposure rates and the cost sink take off the centre weight leaves it "
-            "negative, so prices may overshoot; more time levels shrink the sub-step",
-            ModelAssumptionWarning, stacklevel=3)
+    for weights, consequence in (
+            ({"a": a, "c": c}, ", so prices may leave their payoff's bounds; "
+             "drift_discretization='upwind' keeps a and c nonnegative"),
+            # NaN where c < 0, which the check above reports
+            ({"c - delta*kappa/h_f": np.where(c >= 0.0, c - sink, np.nan)},
+             ": the counterparty-bond cost sink kappa*|U_x| outweighs the upper neighbour's "
+             "weight where U_x > 0, so a call price may turn negative"),
+            ({"b - delta*(max(rho+, rho-, 0) + kappa/h_f)": centre},
+             ": what the exposure rates and the cost sink take off the centre weight leaves "
+             "it negative, so prices may overshoot; more time levels shrink the sub-step")):
+        bad = np.flatnonzero(np.minimum.reduce(list(weights.values())) < 0.0)
+        if bad.size:  # the first node, and the first of the weights negative there
+            k = int(bad[0])
+            name = next(n for n, w in weights.items() if w[k] < 0.0)
+            warnings.warn(
+                f"non-monotone explicit step: {name} = {weights[name][k]:.6g} < 0 at node "
+                f"{k + 1} (S = {grid.spots[k + 1]:.6g}){consequence}",
+                ModelAssumptionWarning, stacklevel=3)
 
 
 def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> Plan:
@@ -608,13 +599,13 @@ def _solve_stack(problems, time_index: int | None = -1, substep: bool = True,
     return out
 
 
-def solve_pairs(pairs, time_index: int = -1) -> list:
+def solve_pairs(pairs) -> list:
     """March every (first, second) pair of variants together, then subtract.
 
-    One outcome per pair: the rows (first, second, first - second) at level
-    ``time_index``, or the error of the first member that failed.
+    One outcome per pair: the terminal rows (first, second, first - second),
+    or the error of the first member that failed.
     """
-    rows = solve_stack([prob for pair in pairs for prob in pair], time_index)
+    rows = solve_stack([prob for pair in pairs for prob in pair])
     out = []
     for first, second in zip(rows[::2], rows[1::2]):
         failed = [r for r in (first, second) if isinstance(r, EngineError)]

@@ -64,14 +64,15 @@ def _sub_steps(prob: Problem, substep: bool = True, skip_zero_source: bool = Fal
             nsub = max(1, math.ceil(dtau / bound))
     delta = dtau / nsub
     a, b, c = step_coefficients(grid, p, delta, prob.drift_discretization)
-    zero_source = skip_zero_source and not np.array(source_rates(p)).view(np.int64).any()
+    rates = source_rates(p)
+    zero_source = skip_zero_source and not np.array(rates).view(np.int64).any()
     walls = boundary_curves(prob.instrument, grid, p, prob.boundary_mode)
     row = payoff(prob.instrument, grid)
     for m in range(prob.grid.n_time):
         for j in range(1, nsub + 1):
             interior = a * row[:-2] + b * row[1:-1] + c * row[2:]
             if not zero_source:
-                interior = interior - delta * nonlinear_source(row, grid, p)
+                interior = interior - delta * nonlinear_source(row, grid, rates)
             tau = (m + 1) * dtau if j == nsub else m * dtau + j * delta
             lo, hi = walls([tau])
             row = np.concatenate([lo, interior, hi])

@@ -179,7 +179,7 @@ def test_criterion_06_sensitivities_move_the_right_way():
     gap_ok = True
     for cc in (0.001, 0.004):
         prob = desk_problem(C_S=0.0, C_C=cc)
-        gap = compare_models(prob.params, prob.grid, prob.instrument)[band]
+        gap = compare_models(prob)[band]
         gap_ok &= float(gap.min()) >= 0.0 and float(np.diff(gap).min()) >= 0.0
         gaps.append(gap)
     gap_ok &= float((gaps[1] - gaps[0]).min()) >= 0.0

@@ -153,7 +153,7 @@ def test_cva_profile_is_a_cost_and_pins_at_the_money():
 
 def test_cost_gap_is_nonnegative_for_the_convex_call():
     prob = desk_problem(C_S=0.0)
-    gap = compare_models(prob.params, prob.grid, prob.instrument)
+    gap = compare_models(prob)
     assert float(gap.min()) >= 0.0
     i = build_space_grid(prob.grid).nearest_index(math.log(STRIKE))
     assert float(gap[i]) > 1e-3

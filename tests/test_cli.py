@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xvapde import ConfigError, build_space_grid, cli
+from xvapde import ConfigError, build_space_grid, cli, cva_profile
 from xvapde.greeks import DEFAULT_EPS
 
 # small scenario so every command variant stays fast
@@ -112,6 +112,10 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert "cannot read config" in capsys.readouterr().err
+    # so does an output directory that cannot be made
+    (tmp_path / "taken").write_text("")
+    assert cli.main(["price", "--out", str(tmp_path / "taken")]) == 2
+    assert "error: cannot write to --out" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -205,6 +209,10 @@ def test_cva_writes_the_profile(tmp_path, capsys):
     assert len(lines) == 1 + 61
     # the adjustment column is a cost at every node
     assert all(float(line.split(",")[3]) <= 1e-15 for line in lines[1:])
+    # and it is the library's profile, bit for bit
+    cva = np.loadtxt(out / "cva.csv", delimiter=",", skiprows=1)[:, 3]
+    prob = cli.build_problem(cli.resolve_config({"grid": FAST_GRID}))
+    np.testing.assert_array_equal(cva, cva_profile(prob))
 
 
 def test_every_command_reports_the_node_nearest_the_strike_in_log_price(tmp_path, capsys):
@@ -286,13 +294,24 @@ def test_bad_sweep_values_exit_2(tmp_path, capsys, values, path):
     ("grid", "horizon", math.inf, "must be a finite number"),
     ("params", "r", math.nan, "must be a finite number"),
     ("grid", "n_space", -math.inf, "must be a finite number"),
+    # the strike and the walls are read before x_star and alpha derive from them
+    ("instrument", "strike", "high", "must be a number"),
+    ("instrument", "strike", True, "must be a number"),
+    ("instrument", "strike", -1, "must be positive"),
+    ("instrument", "strike", 0, "must be positive"),
+    ("grid", "x_plus", "a", "must be a number"),
+    ("grid", "x_minus", None, "must be a number"),
+    ("greeks", "eps_sigma", -0.001, "must be positive"),
+    ("greeks", "eps_r", 0, "must be positive"),
 ], ids=["fractional-count", "boolean-count", "boolean-float", "boolean-param", "string-param",
-        "infinite-param", "infinite-float", "nan-param", "infinite-count"])
+        "infinite-param", "infinite-float", "nan-param", "infinite-count", "string-strike",
+        "boolean-strike", "negative-strike", "zero-strike", "string-wall", "null-wall",
+        "negative-eps", "zero-eps"])
 def test_non_integral_and_boolean_numbers_exit_2(tmp_path, capsys, section, key, value,
                                                  message):
     cfg = {"grid": dict(FAST_GRID)}
     cfg.setdefault(section, {})[key] = value
-    code, _ = run(tmp_path, "price", cfg)
+    code, _ = run(tmp_path, "greeks" if section == "greeks" else "price", cfg)
     assert code == 2
     assert f"error: {section}.{key} {message}" in capsys.readouterr().err
 

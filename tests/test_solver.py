@@ -30,7 +30,7 @@ from xvapde import (
 )
 from xvapde.instrument import boundary_values, payoff
 from xvapde.model import negative_exposure_rate, positive_exposure_rate
-from xvapde.solver import nonlinear_source, step, step_coefficients
+from xvapde.solver import nonlinear_source, source_rates, step, step_coefficients
 
 from xvapde import solver
 from xvapde.instrument import BOUNDARY_MODES
@@ -147,7 +147,7 @@ def test_source_hand_computed_on_a_mixed_sign_row():
     g = build_space_grid(spec)
     p = desk_params()
     row = np.array([-1.0, 2.0, -3.0, 4.0])
-    out = nonlinear_source(row, g, p)
+    out = nonlinear_source(row, g, source_rates(p))
 
     rho_pos = positive_exposure_rate(p)
     rho_neg = negative_exposure_rate(p)
@@ -164,7 +164,7 @@ def test_source_vanishes_for_risk_free_parameters():
     g = build_space_grid(desk_grid())
     p = ModelVariant.RISK_FREE.apply(desk_params())
     row = np.sin(g.nodes) * 3.0
-    np.testing.assert_array_equal(nonlinear_source(row, g, p), 0.0)
+    np.testing.assert_array_equal(nonlinear_source(row, g, source_rates(p)), 0.0)
 
 
 # --- Solving ---
