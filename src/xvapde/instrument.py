@@ -29,7 +29,8 @@ from .errors import MissingPayoff
 from .grid import SpaceGrid
 from .model import ModelParams, cpty_cost_rate, positive_exposure_rate, variance_and_drift
 
-__all__ = ["Instrument", "BOUNDARY_MODES", "payoff", "boundary_curves", "boundary_values"]
+__all__ = ["Instrument", "BOUNDARY_MODES", "payoff", "boundary_curves", "curve_values",
+           "boundary_values"]
 
 KINDS = ("call", "put", "custom")
 BOUNDARY_MODES = ("model_consistent", "discounted_strike", "asymptotic")
@@ -81,21 +82,19 @@ def _wall_stock_rate(p: ModelParams, hb: float, hf: float, cost_sign: float) -> 
 
 def boundary_curves(inst: Instrument, grid: SpaceGrid, p: ModelParams,
                     mode: str = "model_consistent"):
-    """Dirichlet data as a function of backward time, tau-free factors hoisted.
+    """Dirichlet data as curves in backward time, tau-free factors hoisted.
 
-    Returns ``walls(taus) -> (lower, upper)``, two float arrays over the
-    given taus. Every tau-dependent factor is evaluated with ``math.exp``,
-    one tau at a time, so each value is the one the formula gives for that
-    tau alone; a factor that overflows reads as inf, so a wall that
-    outgrows the floats turns non-finite instead of raising. ``p`` should
-    already be variant-filtered; the model_consistent recipe reads the
-    funding/credit and cost inputs off it.
+    Returns ``(lower, upper)``, each wall as the coefficients (P, p, Q, q)
+    of P*exp(p*tau) - Q*exp(q*tau): every recipe has that shape, and a
+    constant c is (c, 0, 0, 0), exact since exp(0) is 1. ``curve_values``
+    evaluates them. ``p`` should already be variant-filtered; the
+    model_consistent recipe reads the funding/credit and cost inputs off it.
     """
     if mode not in BOUNDARY_MODES:
         raise ValueError(f"mode must be one of {BOUNDARY_MODES}, got {mode!r}")
     if inst.kind == "custom":
         g = payoff(inst, grid)
-        return _constant(float(g[0]), float(g[-1]))
+        return _constant(float(g[0])), _constant(float(g[-1]))
 
     s_lo = math.exp(grid.nodes[0])
     s_hi = math.exp(grid.nodes[-1])
@@ -107,16 +106,31 @@ def boundary_curves(inst: Instrument, grid: SpaceGrid, p: ModelParams,
         if call:
             # the wall node's own spacings: h into the wall, last ratio beyond it
             g_s = _wall_stock_rate(p, h[-1], h[-1] * h[-1] / h[-2], -1.0)
-            return _upper(lambda taus: [s_hi * _exp(g_s * t) - K * _exp(-rho * t)
-                                        for t in taus])
+            return _constant(0.0), (s_hi, g_s, K, -rho)
         g_s = _wall_stock_rate(p, h[0] * h[0] / h[1], h[0], +1.0)
-        return _lower(lambda taus: [K * _exp(-rho * t) - s_lo * _exp(g_s * t)
-                                    for t in taus])
+        return (K, -rho, s_lo, g_s), _constant(0.0)
     if mode == "discounted_strike":
         if call:
-            return _upper(lambda taus: [s_hi - K * _exp(-p.r * t) for t in taus])
-        return _lower(lambda taus: [K * _exp(-p.r * t) - s_lo for t in taus])
-    return _constant(0.0, s_hi) if call else _constant(K, 0.0)
+            return _constant(0.0), (s_hi, 0.0, K, -p.r)
+        return (K, -p.r, s_lo, 0.0), _constant(0.0)
+    return (_constant(0.0), _constant(s_hi)) if call else (_constant(K), _constant(0.0))
+
+
+def _constant(value: float) -> tuple[float, float, float, float]:
+    return value, 0.0, 0.0, 0.0
+
+
+def curve_values(curves, taus) -> tuple[np.ndarray, np.ndarray]:
+    """The (lower, upper) walls of ``boundary_curves`` at the given taus.
+
+    Each exponential goes through ``math.exp``, one tau at a time, so each
+    value is the one the formula gives for that tau alone; a factor that
+    overflows reads as inf, so a wall that outgrows the floats turns
+    non-finite instead of raising. A constant wall needs no exponential.
+    """
+    return tuple(np.full(len(taus), P - Q) if p == q == 0.0 else
+                 np.array([P * _exp(p * t) - Q * _exp(q * t) for t in taus], dtype=float)
+                 for P, p, Q, q in curves)
 
 
 def _exp(x: float) -> float:
@@ -127,20 +141,8 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _constant(lo: float, hi: float):
-    return lambda taus: (np.full(len(taus), lo), np.full(len(taus), hi))
-
-
-def _upper(curve):
-    return lambda taus: (np.zeros(len(taus)), np.array(curve(taus), dtype=float))
-
-
-def _lower(curve):
-    return lambda taus: (np.array(curve(taus), dtype=float), np.zeros(len(taus)))
-
-
 def boundary_values(inst: Instrument, grid: SpaceGrid, tau: float, p: ModelParams,
                     mode: str = "model_consistent") -> tuple[float, float]:
     """Dirichlet data (lower, upper) at backward time tau; see boundary_curves."""
-    lo, hi = boundary_curves(inst, grid, p, mode)([tau])
+    lo, hi = curve_values(boundary_curves(inst, grid, p, mode), [tau])
     return float(lo[0]), float(hi[0])

@@ -22,13 +22,23 @@ disables the guard (useful only to demonstrate the blow-up).
 A solve has two parts. ``plan`` does everything that does not change with
 tau once: the condition checks and warnings, the grid, the sub-step count
 and size, the weights (a, b, c), the three source rates and the wall
-curves. The march then only does arithmetic, on a (members x nodes) stack:
-``solve`` marches a stack of one, ``solve_stack`` and ``solve_pairs`` march
-many variants together. Members share a stack when they share a grid, and
-each keeps its own nsub: the stack is ordered by nsub, largest first, and
-sub-step j of a level updates only the rows whose nsub exceeds j. So a
-level costs the largest nsub in sub-step calls, and each member's numbers
-are exactly those of its lone solve.
+curves. The march then only does arithmetic. ``solve`` marches one row,
+``solve_stack`` and ``solve_pairs`` march many variants together.
+
+The march is a compiled C kernel (``_march.c``, built on first use and
+loaded with ctypes; see ``_kernel``): one call marches one row through
+every sub-step of every level, with the walls and a finiteness check after
+every sub-step, so its NonFiniteValue names the first non-finite sub-step
+and node directly. Where no compiler is found, the numpy stack below runs
+instead. It is also the reference the kernel is tested against, bit for
+bit: the kernel keeps its order of operations, and its walls call the libm
+``exp`` that ``math.exp`` calls.
+
+The numpy stack marches a (members x nodes) stack. Members share a stack
+when they share a grid, and each keeps its own nsub: the stack is ordered
+by nsub, largest first, and sub-step j of a level updates only the rows
+whose nsub exceeds j. So a level costs the largest nsub in sub-step calls,
+and each member's numbers are exactly those of its lone solve.
 
 A sub-step allocates nothing: each stack gets fixed buffers once, and
 views of them for every sub-step are built up front, so a sub-step is a
@@ -55,14 +65,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .csvio import write_rows
 from .errors import EngineError, ModelAssumptionWarning, NonFiniteValue
 from .grid import GridSpec, SpaceGrid, build_space_grid, build_time_grid, stability_bound
-from .instrument import BOUNDARY_MODES, Instrument, boundary_curves, payoff
+from .instrument import BOUNDARY_MODES, Instrument, boundary_curves, curve_values, payoff
 from .model import (
     ConditionReport,
     ModelParams,
@@ -217,8 +226,9 @@ def _source_into(out, x, x_in, pos, pos_in, pos_up, slope, neg, h, pos_rate, neg
 class Plan:
     """What a march of one problem needs that does not change with tau.
 
-    ``walls(taus)`` gives the (lower, upper) Dirichlet data at the given
-    taus; ``start`` is the payoff row at tau = 0.
+    ``walls`` holds the (lower, upper) Dirichlet curves of
+    ``boundary_curves``, each as the (P, p, Q, q) of P*exp(p*tau) -
+    Q*exp(q*tau); ``start`` is the payoff row at tau = 0.
     """
 
     grid: SpaceGrid
@@ -229,7 +239,7 @@ class Plan:
     b: np.ndarray
     c: np.ndarray
     rates: tuple[float, float, float]
-    walls: Callable
+    walls: tuple
     start: np.ndarray
 
 
@@ -332,7 +342,7 @@ def _walls(plans, dtau: float, levels, width: int) -> np.ndarray:
             # land the final sub-step of each level exactly on the reporting level
             taus[nsub] = [(m + 1) * dtau if j == nsub else m * dtau + j * delta
                           for m in levels for j in range(1, nsub + 1)]
-        for k, w in enumerate(pl.walls(taus[nsub])):
+        for k, w in enumerate(curve_values(pl.walls, taus[nsub])):
             walls[:, :nsub, r, k] = w.reshape(len(levels), nsub)
     return walls
 
@@ -458,7 +468,49 @@ def _locate(data, start: np.ndarray, walls: np.ndarray, first: int, nsub: int,
 
 
 def _march(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> list:
-    """March a stack from level ``first`` to level ``last``.
+    """March rows that share a grid from level ``first`` to level ``last``.
+
+    ``rows`` holds one row per plan; ``keep`` is the level to return, or
+    None for every level from ``first`` on. One outcome per plan: the kept
+    values, or the NonFiniteValue that stopped it. Each row marches alone
+    in the compiled kernel; where that cannot be built, the rows march as
+    one numpy stack (``_march_stack``), which gives the same bits.
+    """
+    from . import _kernel  # built or loaded on the first march, not at import
+
+    lib = _kernel.library()
+    if lib is None:
+        return _march_stack(plans, rows, first, last, keep)
+    return [_march_row(lib, pl, row, first, last, keep) for pl, row in zip(plans, rows)]
+
+
+def _march_row(lib, pl: Plan, row: np.ndarray, first: int, last: int, keep: int | None):
+    """One row's march in ``_march.c``, one call for every sub-step of every
+    level: the arithmetic of ``_substep`` in its order, the walls of
+    ``curve_values`` at the taus of ``_walls``, and a finiteness check after
+    every sub-step, which names the first non-finite node itself."""
+    width = len(row)
+    x, y = np.array(row, dtype=float), np.empty(width)
+    a, b, c, h = (np.ascontiguousarray(v, dtype=float)
+                  for v in (pl.a, pl.b, pl.c, pl.grid.h[1:]))
+    walls = np.array(pl.walls, dtype=float)
+    start, count = (first, last - first + 1) if keep is None else (keep, 1)
+    if (x.shape != (width,) or walls.shape != (2, 4)
+            or any(v.shape != (width - 2,) for v in (a, b, c, h))
+            or not first <= start <= start + count - 1 <= last):
+        raise ValueError("the row, its weights, spacings, walls and levels do not fit")
+    kept = np.empty((count, width))
+    bad = lib.march_row(width, pl.nsub, first, last, pl.dtau, pl.delta, a.ctypes.data,
+                        b.ctypes.data, c.ctypes.data, h.ctypes.data, *pl.rates,
+                        bool(_has_source(pl.rates)), walls.ctypes.data, x.ctypes.data,
+                        y.ctypes.data, kept.ctypes.data, start, count)
+    if bad >= 0:
+        return NonFiniteValue(*divmod(bad, width))
+    return kept if keep is None else kept[0]
+
+
+def _march_stack(plans, rows: np.ndarray, first: int, last: int, keep: int | None) -> list:
+    """March a stack from level ``first`` to level ``last`` in numpy.
 
     The plans share one grid; ``rows`` holds one row per plan. Each member
     keeps its own nsub, delta, weights, rates and walls. The stack is
@@ -562,7 +614,8 @@ def solve_stack(problems, time_index: int | None = -1, substep: bool = True) -> 
     An outcome is the problem's row at level ``time_index`` (every level
     when it is None), or the EngineError that stopped that problem alone:
     a broken condition 1 at planning, or NonFiniteValue in the march.
-    Problems that share a grid march in one stack, each at its own nsub.
+    Problems that share a grid march together, each at its own nsub. An
+    index out of range for any problem's grid raises IndexError first.
     """
     return _solve_stack(problems, time_index, substep)
 
@@ -572,6 +625,11 @@ def _solve_stack(problems, time_index: int | None = -1, substep: bool = True,
     """``solve_stack``, with ``ties``: tuples of member indices that march at
     the largest nsub among them, so a difference of two of them carries
     one time-truncation error. A larger nsub only shrinks the sub-step."""
+    if time_index is not None and problems:  # before any planning and its warnings
+        levels = min(prob.grid.n_time + 1 for prob in problems)
+        if not -levels <= time_index < levels:
+            raise IndexError(f"time_index {time_index} is out of range for a grid of "
+                             f"{levels} levels")
     out: list = [None] * len(problems)
     grids: dict[GridSpec, SpaceGrid] = {}
     plans: dict[int, Plan] = {}

@@ -13,7 +13,7 @@ from xvapde import (
     build_space_grid,
     stability_bound,
 )
-from xvapde.instrument import boundary_curves, payoff
+from xvapde.instrument import boundary_curves, curve_values, payoff
 from xvapde.solver import nonlinear_source, source_rates, step_coefficients
 
 STRIKE = 8.0
@@ -74,7 +74,7 @@ def _sub_steps(prob: Problem, substep: bool = True, skip_zero_source: bool = Fal
             if not zero_source:
                 interior = interior - delta * nonlinear_source(row, grid, rates)
             tau = (m + 1) * dtau if j == nsub else m * dtau + j * delta
-            lo, hi = walls([tau])
+            lo, hi = curve_values(walls, [tau])
             row = np.concatenate([lo, interior, hi])
             yield m, row, j == nsub
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xvapde import (
@@ -32,7 +32,7 @@ from xvapde.instrument import boundary_values, payoff
 from xvapde.model import negative_exposure_rate, positive_exposure_rate
 from xvapde.solver import nonlinear_source, source_rates, step, step_coefficients
 
-from xvapde import solver
+from xvapde import _kernel, solver
 from xvapde.instrument import BOUNDARY_MODES
 
 from helpers import (
@@ -169,17 +169,18 @@ def test_source_vanishes_for_risk_free_parameters():
 
 # --- Solving ---
 
-def test_desk_prices_pin_and_nest():
-    atm = {}
-    for variant in ModelVariant:
-        surf = solve(desk_problem(variant=variant))
-        i = surf.grid.nearest_index(math.log(STRIKE))
-        atm[variant] = float(surf.terminal[i])
-    assert atm[ModelVariant.RISK_FREE] == pytest.approx(ATM_RISK_FREE, abs=PIN_TOL)
-    assert atm[ModelVariant.BK] == pytest.approx(ATM_BK, abs=PIN_TOL)
-    assert atm[ModelVariant.BKTC] == pytest.approx(ATM_BKTC, abs=PIN_TOL)
-    # every adjustment layer costs the seller
-    assert atm[ModelVariant.RISK_FREE] > atm[ModelVariant.BK] > atm[ModelVariant.BKTC]
+def test_desk_prices_pin_and_nest(both_marches):
+    for _ in both_marches():
+        atm = {}
+        for variant in ModelVariant:
+            surf = solve(desk_problem(variant=variant))
+            i = surf.grid.nearest_index(math.log(STRIKE))
+            atm[variant] = float(surf.terminal[i])
+        assert atm[ModelVariant.RISK_FREE] == pytest.approx(ATM_RISK_FREE, abs=PIN_TOL)
+        assert atm[ModelVariant.BK] == pytest.approx(ATM_BK, abs=PIN_TOL)
+        assert atm[ModelVariant.BKTC] == pytest.approx(ATM_BKTC, abs=PIN_TOL)
+        # every adjustment layer costs the seller
+        assert atm[ModelVariant.RISK_FREE] > atm[ModelVariant.BK] > atm[ModelVariant.BKTC]
 
 
 def test_adjustment_ordering_holds_nodewise():
@@ -458,8 +459,9 @@ def _lone(prob, substep=True):
 
 @given(members=stacks(), ill_posed_at=st.none() | st.integers(0, 5),
        time_index=st.integers(-1, 1))
-@settings(max_examples=60, deadline=None)
-def test_stacked_march_equals_each_lone_solve(members, ill_posed_at, time_index):
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_stacked_march_equals_each_lone_solve(both_marches, members, ill_posed_at, time_index):
     """Each member of a stacked march is bit for bit its own one-member
     solve and the per-level reference march; a member that breaks
     condition 1 gets its error in its own slot while the others solve."""
@@ -468,36 +470,39 @@ def test_stacked_march_equals_each_lone_solve(members, ill_posed_at, time_index)
                        desk_problem(sigma=0.02, grid=members[0].grid))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelAssumptionWarning)
-        stacked = solve_stack(members, time_index=None)
-        rows = solve_stack(members, time_index=time_index)
-        for prob, values, row in zip(members, stacked, rows):
-            lone = _lone(prob)
-            if isinstance(lone, Exception):
-                assert type(values) is type(lone) and str(values) == str(lone)
-                assert type(row) is type(lone)
-                continue
-            np.testing.assert_array_equal(values, lone)
-            np.testing.assert_array_equal(values, serial_solve(prob))
-            np.testing.assert_array_equal(row, lone[time_index])
-    if ill_posed_at is not None:
-        assert isinstance(stacked[min(ill_posed_at, len(members) - 1)], WellPosednessViolation)
+        for _ in both_marches():
+            stacked = solve_stack(members, time_index=None)
+            rows = solve_stack(members, time_index=time_index)
+            for prob, values, row in zip(members, stacked, rows):
+                lone = _lone(prob)
+                if isinstance(lone, Exception):
+                    assert type(values) is type(lone) and str(values) == str(lone)
+                    assert type(row) is type(lone)
+                    continue
+                np.testing.assert_array_equal(values, lone)
+                np.testing.assert_array_equal(values, serial_solve(prob))
+                np.testing.assert_array_equal(row, lone[time_index])
+            if ill_posed_at is not None:
+                assert isinstance(stacked[min(ill_posed_at, len(members) - 1)],
+                                  WellPosednessViolation)
 
 
-def test_a_non_finite_member_does_not_poison_its_stack():
+def test_a_non_finite_member_does_not_poison_its_stack(both_marches):
     """Without sub-steps sigma = 0.4 blows up on the desk grid (sigma = 0.3
     only reaches ~1e297) while sigma = 0.1 stays stable; stacked together,
     each keeps its lone result."""
     stable, unstable = desk_problem(sigma=0.1), desk_problem(sigma=0.4)
-    with pytest.warns(ModelAssumptionWarning, match="centre weight"), \
-            pytest.raises(NonFiniteValue) as lone:
-        solve(unstable, substep=False)
-    for members in ([stable, unstable], [unstable, stable]):
-        with pytest.warns(ModelAssumptionWarning, match="centre weight"):
-            outs = solve_stack(members, time_index=None, substep=False)
-        bad, good = outs[members.index(unstable)], outs[members.index(stable)]
-        assert isinstance(bad, NonFiniteValue)
-        assert (bad.step, bad.node) == (lone.value.step, lone.value.node)
-        np.testing.assert_array_equal(good, solve(stable, substep=False).values)
+    for _ in both_marches():
+        with pytest.warns(ModelAssumptionWarning, match="centre weight"), \
+                pytest.raises(NonFiniteValue) as lone:
+            solve(unstable, substep=False)
+        for members in ([stable, unstable], [unstable, stable]):
+            with pytest.warns(ModelAssumptionWarning, match="centre weight"):
+                outs = solve_stack(members, time_index=None, substep=False)
+            bad, good = outs[members.index(unstable)], outs[members.index(stable)]
+            assert isinstance(bad, NonFiniteValue)
+            assert (bad.step, bad.node) == (lone.value.step, lone.value.node)
+            np.testing.assert_array_equal(good, solve(stable, substep=False).values)
 
 
 def test_pairs_subtract_and_report_their_first_failure():
@@ -523,7 +528,9 @@ def _sigma_sweep_stack():
 
 
 def _count_source_calls(monkeypatch):
-    """Record the number of rows of every ``solver._source_into`` call."""
+    """Record the number of rows of every ``solver._source_into`` call. The
+    count is a property of the numpy stack, so the test marches there."""
+    monkeypatch.setattr(_kernel, "enabled", False)
     calls = []
     source = solver._source_into  # what the march calls once per sub-step slot
     monkeypatch.setattr(solver, "_source_into", lambda out, rows, *views:
@@ -598,21 +605,23 @@ def zero_source_stacks(draw):
 
 
 @given(members=zero_source_stacks())
-@settings(max_examples=40, deadline=None)
-def test_zero_source_rows_march_the_linear_update_bit_for_bit(members):
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_zero_source_rows_march_the_linear_update_bit_for_bit(both_marches, members):
     """Whether a row skips its source changes no bit: each member of a mixed
     stack equals its lone solve and the per-sub-step reference march, which
     subtracts every row's source."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelAssumptionWarning)
-        stacked = solve_stack(members, time_index=None)
-        for prob, values in zip(members, stacked):
-            lone = solve(prob).values
-            np.testing.assert_array_equal(values, lone)
-            np.testing.assert_array_equal(values, serial_solve(prob))
+        serial = [serial_solve(prob) for prob in members]
+        for _ in both_marches():
+            stacked = solve_stack(members, time_index=None)
+            for prob, values, want in zip(members, stacked, serial):
+                np.testing.assert_array_equal(values, solve(prob).values)
+                np.testing.assert_array_equal(values, want)
 
 
-def test_a_zero_source_blow_up_names_where_the_linear_update_overflows():
+def test_a_zero_source_blow_up_names_where_the_linear_update_overflows(both_marches):
     """Without sub-steps the RiskFree sigma = 0.3 desk call blows up. Its
     march has no source, so the error names the first node where the linear
     update itself overflows: (260, 100). With a source of rate +0 the same
@@ -624,20 +633,21 @@ def test_a_zero_source_blow_up_names_where_the_linear_update_overflows():
     members = _sigma_sweep_stack()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelAssumptionWarning)
-        with pytest.raises(NonFiniteValue) as lone:
-            solve(blow, substep=False)
-        assert (lone.value.step, lone.value.node) == (260, 100)
-        outs = solve_stack(members, substep=False)
-        assert isinstance(outs[-1], NonFiniteValue)
-        assert (outs[-1].step, outs[-1].node) == (260, 100)
-        for prob, row in zip(members[:-1], outs[:-1]):
-            np.testing.assert_array_equal(row, solve(prob, substep=False).terminal)
+        for _ in both_marches():
+            with pytest.raises(NonFiniteValue) as lone:
+                solve(blow, substep=False)
+            assert (lone.value.step, lone.value.node) == (260, 100)
+            outs = solve_stack(members, substep=False)
+            assert isinstance(outs[-1], NonFiniteValue)
+            assert (outs[-1].step, outs[-1].node) == (260, 100)
+            for prob, row in zip(members[:-1], outs[:-1]):
+                np.testing.assert_array_equal(row, solve(prob, substep=False).terminal)
 
 
 @pytest.mark.parametrize("n_space, substep, failure", [(20, True, (190, 20)),
                                                         (200, False, (106, 55))],
                          ids=["sub-steps-20", "no-sub-steps-200"])
-def test_an_overflowing_wall_fails_its_member_only(n_space, substep, failure):
+def test_an_overflowing_wall_fails_its_member_only(both_marches, n_space, substep, failure):
     """The q_S = 800 RiskFree call's model-consistent wall outgrows the
     floats: the wall reads inf instead of raising OverflowError, whatever
     nsub, so the member fails with NonFiniteValue and a healthy member
@@ -650,21 +660,22 @@ def test_an_overflowing_wall_fails_its_member_only(n_space, substep, failure):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelAssumptionWarning)
         assert first_non_finite(blow, substep) == failure
-        with pytest.raises(NonFiniteValue) as lone:
-            solve(blow, substep)
-        assert (lone.value.step, lone.value.node) == failure
-        want = solve(healthy, substep).values
-        for members in ([healthy, blow], [blow, healthy]):
-            outs = solve_stack(members, time_index=None, substep=substep)
-            bad, good = outs[members.index(blow)], outs[members.index(healthy)]
+        for _ in both_marches():
+            with pytest.raises(NonFiniteValue) as lone:
+                solve(blow, substep)
+            assert (lone.value.step, lone.value.node) == failure
+            want = solve(healthy, substep).values
+            for members in ([healthy, blow], [blow, healthy]):
+                outs = solve_stack(members, time_index=None, substep=substep)
+                bad, good = outs[members.index(blow)], outs[members.index(healthy)]
+                assert isinstance(bad, NonFiniteValue) and (bad.step, bad.node) == failure
+                np.testing.assert_array_equal(good, want)
+            good, bad = solve_stack([healthy, blow], time_index=0, substep=substep)
             assert isinstance(bad, NonFiniteValue) and (bad.step, bad.node) == failure
-            np.testing.assert_array_equal(good, want)
-        good, bad = solve_stack([healthy, blow], time_index=0, substep=substep)
-        assert isinstance(bad, NonFiniteValue) and (bad.step, bad.node) == failure
-        np.testing.assert_array_equal(good, want[0])
+            np.testing.assert_array_equal(good, want[0])
 
 
-def test_a_blow_up_inside_a_mixed_stack_stays_in_its_slot():
+def test_a_blow_up_inside_a_mixed_stack_stays_in_its_slot(both_marches):
     """A member at nsub 4 whose huge exposure rates overflow the source
     marches between members with larger and smaller nsub: it gets its lone
     error, and every other member its lone values."""
@@ -676,20 +687,22 @@ def test_a_blow_up_inside_a_mixed_stack_stays_in_its_slot():
         warnings.simplefilter("ignore", ModelAssumptionWarning)
         nsubs = [solver.plan(prob).nsub for prob in members]
         assert nsubs[0] > nsubs[1] == 4 > nsubs[3]
-        with pytest.raises(NonFiniteValue) as lone:
-            solve(blow)
-        assert (lone.value.step, lone.value.node) == (85, 95)
-        lone_values = {k: solve(members[k]).values for k in (0, 2, 3)}
-        for k, values in lone_values.items():
-            np.testing.assert_array_equal(values, serial_solve(members[k]))
-        for time_index in (None, -1):
-            outs = solve_stack(members, time_index=time_index)
-            bad = outs[1]
-            assert isinstance(bad, NonFiniteValue)
-            assert (bad.step, bad.node) == (85, 95)
+        serial = {k: serial_solve(members[k]) for k in (0, 2, 3)}
+        for _ in both_marches():
+            with pytest.raises(NonFiniteValue) as lone:
+                solve(blow)
+            assert (lone.value.step, lone.value.node) == (85, 95)
+            lone_values = {k: solve(members[k]).values for k in (0, 2, 3)}
             for k, values in lone_values.items():
-                want = values if time_index is None else values[time_index]
-                np.testing.assert_array_equal(outs[k], want)
+                np.testing.assert_array_equal(values, serial[k])
+            for time_index in (None, -1):
+                outs = solve_stack(members, time_index=time_index)
+                bad = outs[1]
+                assert isinstance(bad, NonFiniteValue)
+                assert (bad.step, bad.node) == (85, 95)
+                for k, values in lone_values.items():
+                    want = values if time_index is None else values[time_index]
+                    np.testing.assert_array_equal(outs[k], want)
 
 
 @pytest.mark.parametrize("overrides, n_space, substep, nsub, failure", [
@@ -698,13 +711,13 @@ def test_a_blow_up_inside_a_mixed_stack_stays_in_its_slot():
     ({"sigma": 0.2, "s_F": 1e4, "lambda_B": 1e4}, 200, True, 4, (85, 95)),
     ({"sigma": 0.4}, 200, False, 1, (217, 99)),
 ], ids=["wall-mid-level-200", "wall-mid-level-400", "interior", "no-sub-steps"])
-def test_non_finite_value_is_the_first_failing_sub_step(overrides, n_space, substep, nsub,
-                                                        failure):
-    """The march checks finiteness on its last level only and marches a
-    failing member again alone, checking every sub-step; the (step, node) it
-    reports must be the first non-finite sub-step of the plain per-sub-step
-    loop, lone and stacked between a stable desk member and a RiskFree
-    sigma = 0.3 member."""
+def test_non_finite_value_is_the_first_failing_sub_step(both_marches, overrides, n_space,
+                                                        substep, nsub, failure):
+    """The (step, node) a march reports must be the first non-finite
+    sub-step of the plain per-sub-step loop, lone and stacked between a
+    stable desk member and a RiskFree sigma = 0.3 member: the kernel checks
+    every sub-step, and the numpy stack checks its last level and marches a
+    failing member again alone, checking every sub-step."""
     grid = desk_grid(n_space=n_space)
     blow = desk_problem(grid=grid, **overrides)
     members = [desk_problem(grid=grid), blow,
@@ -713,15 +726,30 @@ def test_non_finite_value_is_the_first_failing_sub_step(overrides, n_space, subs
         warnings.simplefilter("ignore", ModelAssumptionWarning)
         assert solver.plan(blow, substep).nsub == nsub
         assert first_non_finite(blow, substep) == failure
-        with pytest.raises(NonFiniteValue) as lone:
-            solve(blow, substep)
-        assert (lone.value.step, lone.value.node) == failure
-        outs = solve_stack(members, substep=substep)
-        assert isinstance(outs[1], NonFiniteValue)
-        assert (outs[1].step, outs[1].node) == failure
-        for k in (0, 2):
-            want = _lone(members[k], substep)
-            if isinstance(want, NonFiniteValue):
-                assert (outs[k].step, outs[k].node) == (want.step, want.node)
-            else:
-                np.testing.assert_array_equal(outs[k], want[-1])
+        for _ in both_marches():
+            with pytest.raises(NonFiniteValue) as lone:
+                solve(blow, substep)
+            assert (lone.value.step, lone.value.node) == failure
+            outs = solve_stack(members, substep=substep)
+            assert isinstance(outs[1], NonFiniteValue)
+            assert (outs[1].step, outs[1].node) == failure
+            for k in (0, 2):
+                want = _lone(members[k], substep)
+                if isinstance(want, NonFiniteValue):
+                    assert (outs[k].step, outs[k].node) == (want.step, want.node)
+                else:
+                    np.testing.assert_array_equal(outs[k], want[-1])
+
+
+def test_an_out_of_range_time_index_fails_before_planning():
+    """The index is checked against the level count before any member is
+    planned, so no warning is emitted and the error names both."""
+    prob = desk_problem(lambda_B=0.0)  # planning it would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for time_index in (262, 400, -263):
+            with pytest.raises(IndexError, match=f"time_index {time_index} .* 262 levels"):
+                solve_stack([prob], time_index=time_index)
+    with pytest.warns(ModelAssumptionWarning, match="lambda_B"):
+        rows = solve_stack([prob], time_index=-262)
+    np.testing.assert_array_equal(rows[0], payoff(prob.instrument, build_space_grid(prob.grid)))
