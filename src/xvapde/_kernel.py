@@ -5,8 +5,8 @@ to the package's bytecode (``xvapde/__pycache__``, or a private directory
 under the system temporary directory when that one is not writable),
 named by a CRC of the source, the compiler, the flags and the machine, so
 a changed source builds anew. It returns None when no compiler, no build
-or no load works; the solver then runs its numpy march, which gives the
-same bits.
+or no load works; the solver then marches each row in numpy, one sub-step
+at a time (``solver._march_numpy``), which gives the same bits.
 
 The flags keep the order of operations: ``-ffp-contract=off`` stops the
 compiler from fusing a*b + c into one rounding, and there is no

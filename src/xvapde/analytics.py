@@ -113,7 +113,8 @@ def sweep(base: Problem, parameter: str, values) -> SweepResult:
 
     Values must be strictly increasing. A member that fails (bad parameter
     value, ill-posed solve) is recorded under errors and the sweep moves on.
-    Every member and its RiskFree twin march in one stack.
+    Every member and its RiskFree twin go through one ``solve_pairs``
+    call, which builds the shared grid once.
     """
     if parameter not in _PARAM_FIELDS:
         raise ValueError(f"{parameter!r} is not a model parameter "

@@ -5,10 +5,12 @@ mapping back: Delta = V_x / S, Gamma = (V_xx - V_x) / S^2. Interior nodes
 use the nonuniform central stencils, the two walls one-sided ones. Vega and
 Rho are plain central differences of bumped re-solves: sigma (or r) is
 bumped everywhere it appears, including the cost terms, while q_S stays
-put. The bumped variants march together in one stack. Each up/down pair
-marches at the larger sub-step count of the two, so a bump that crosses
-the stability bound cannot put two time-truncation errors into the
-difference; the base solve keeps its own sub-step count.
+put. The base and bumped variants are solved together, sharing one grid
+build. Each up/down pair marches at the larger sub-step count of the two,
+so a bump that crosses the stability bound cannot put two
+time-truncation errors into the difference; the base solve keeps its own
+sub-step count. Each one-sided wall stencil reads four nodes, so Delta
+and Gamma need a grid of at least four nodes (n_space >= 3).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .csvio import write_rows
-from .errors import WellPosednessViolation
+from .errors import InvalidSpec, WellPosednessViolation
 from .grid import build_space_grid, build_time_grid
 from .model import ModelParams
 from .solver import Problem, Surface, _solve_stack, solved
@@ -72,8 +74,19 @@ def _dxx(row: np.ndarray, grid) -> np.ndarray:
     return out
 
 
+def _check_wall_stencils(nodes: int) -> None:
+    """Raise InvalidSpec unless the grid has the four nodes a wall stencil reads."""
+    if nodes < 4:
+        raise InvalidSpec(f"delta and gamma need at least 4 grid nodes (n_space >= 3), "
+                          f"got {nodes}")
+
+
 def delta_gamma(surface: Surface, time_index: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (Delta, Gamma) at the chosen tau level (terminal by default)."""
+    """Per-node (Delta, Gamma) at the chosen tau level (terminal by default).
+
+    Raises InvalidSpec on a grid of fewer than four nodes.
+    """
+    _check_wall_stencils(len(surface.grid.nodes))
     return _delta_gamma_row(surface.values[time_index], surface.grid)
 
 
@@ -133,12 +146,14 @@ def greeks_report(prob: Problem, eps_sigma: float | None = None,
                   eps_r: float | None = None) -> GreeksReport:
     """Delta/Gamma from the base solve, Vega/Rho from four bumped ones.
 
-    A bump size left as None comes from ``DEFAULT_EPS``.
+    A bump size left as None comes from ``DEFAULT_EPS``. Raises InvalidSpec
+    on a grid of fewer than four nodes, before any solve.
 
-    The five solves march together, keeping only the terminal level;
+    The five solves share one grid build and keep only the terminal level;
     each bump pair marches at the larger sub-step count of its two, as in
     ``bump_greek``.
     """
+    _check_wall_stencils(prob.grid.n_space + 1)
     eps_sigma, sigma_up, sigma_dn = _bumped(prob, "vega", eps_sigma)
     eps_r, r_up, r_dn = _bumped(prob, "rho", eps_r)
     base, s_up, s_dn, up, dn = (solved(row) for row in _solve_stack(

@@ -80,8 +80,8 @@ def _sub_steps(prob: Problem, substep: bool = True, skip_zero_source: bool = Fal
 
 
 def serial_solve(prob: Problem, substep: bool = True) -> np.ndarray:
-    """Every level of the plain per-sub-step loop: the reference the planned,
-    stacked march must reproduce bit for bit."""
+    """Every level of the plain per-sub-step loop: the reference the planned
+    march must reproduce bit for bit."""
     start = payoff(prob.instrument, build_space_grid(prob.grid))
     return np.array([start] + [row for _, row, done in _sub_steps(prob, substep) if done])
 
@@ -90,11 +90,10 @@ def first_non_finite(prob: Problem, substep: bool = True):
     """(step, node) of the first sub-step of the plain loop whose row holds a
     non-finite value, the first such node; None if the march stays finite.
 
-    The reference for ``NonFiniteValue``: the march checks its last level
-    only, and this checks after every sub-step. It marches on to the end and
-    asserts the premise of that single check: every row after the first
-    non-finite one holds a non-finite value too. A zero-source problem
-    marches without its source here, as in the engine.
+    The reference for ``NonFiniteValue``, which both marches also check
+    after every sub-step. It marches on to the end and asserts that every
+    row after the first non-finite one holds a non-finite value too. A
+    zero-source problem marches without its source here, as in the engine.
     """
     first = None
     with np.errstate(over="ignore", invalid="ignore"):

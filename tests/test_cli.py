@@ -200,6 +200,21 @@ def test_greeks_writes_the_report(tmp_path, capsys):
     assert len(lines) == 1 + 61
 
 
+def test_greeks_on_a_three_node_grid_exits_1_naming_the_need(tmp_path):
+    """n_space = 2 prices, but the greeks' wall stencils need four nodes: the
+    command fails with a named InvalidSpec, not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"n_space": 2, "n_time": 4}}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "xvapde.cli", "greeks", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    assert done.stderr == ("error: InvalidSpec: delta and gamma need at least 4 grid nodes "
+                           "(n_space >= 3), got 3\n")
+    assert not (tmp_path / "out" / "greeks.csv").exists()
+
+
 def test_cva_writes_the_profile(tmp_path, capsys):
     code, out = run(tmp_path, "cva", {"grid": FAST_GRID})
     assert code == 0

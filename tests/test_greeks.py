@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from xvapde import (
     GridSpec,
     Instrument,
+    InvalidSpec,
     ModelVariant,
     Surface,
     WellPosednessViolation,
@@ -241,3 +242,19 @@ def test_call_seller_shorts_counterparty_bonds_only():
     np.testing.assert_array_equal(hedge.own_bond_value, 0.0)
     assert float(hedge.cpty_bond_value.min()) <= -1e-2   # short where V is large
     assert np.all(hedge.cpty_bond_value <= 0.0)
+
+
+def test_stencil_greeks_need_four_nodes(monkeypatch):
+    """The wall stencils read four nodes: on a three-node grid (n_space = 2)
+    delta_gamma and greeks_report raise InvalidSpec naming that need, and
+    greeks_report does so before it plans any solve."""
+    spec = desk_grid(n_space=2, n_time=4)
+    surface = solve(desk_problem(grid=spec))
+    with pytest.raises(InvalidSpec, match="at least 4 grid nodes"):
+        delta_gamma(surface)
+    monkeypatch.setattr(solver, "plan", None)  # any planning would fail with TypeError
+    with pytest.raises(InvalidSpec, match="at least 4 grid nodes"):
+        greeks_report(desk_problem(grid=spec))
+    monkeypatch.undo()
+    rep = greeks_report(desk_problem(grid=desk_grid(n_space=3, n_time=4)))
+    assert rep.delta.shape == (4,) and np.isfinite(rep.delta).all()

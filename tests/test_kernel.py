@@ -1,4 +1,4 @@
-"""The compiled march: the same bits as the numpy stack, and how it loads."""
+"""The compiled march: the same bits as the numpy row march, and how it loads."""
 
 import math
 import os
@@ -44,7 +44,7 @@ def _bits(outcome):
 
 @st.composite
 def marches(draw):
-    """A stack on one small grid, with the arguments of ``_solve_stack``.
+    """Problems on one small grid, with the arguments of ``_solve_stack``.
 
     Members mix nsub, variants, payoffs (custom ones too), wall recipes and
     drift modes. Some are zero-source (recoveries of 1, s_F = 0), some have
@@ -99,8 +99,9 @@ def marches(draw):
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_the_kernel_equals_the_numpy_march_bit_for_bit(both_marches, march):
-    """Every outcome of a stacked march, values or error, is the same on both
-    marches: the same bits, or the same (step, node) of a blow-up."""
+    """Every outcome of ``_solve_stack``, values or error, is the same in the
+    kernel and in ``_march_numpy``: the same bits, or the same (step, node)
+    of a blow-up."""
     members, time_index, substep, ties = march
     outcomes = []
     with warnings.catch_warnings():
@@ -133,13 +134,13 @@ def test_compiled_walls_equal_the_python_walls_bit_for_bit(walls, exponents, tau
 @needs_cc
 def test_the_march_runs_in_the_kernel_where_a_compiler_is_found(monkeypatch):
     """With a compiler on PATH the kernel must build and load, so a silent
-    fallback to the numpy stack cannot hide."""
+    fallback to the numpy march cannot hide."""
     assert _kernel.library() is not None
 
-    def stack(*args):
-        raise AssertionError("the numpy stack ran")
+    def fallback(*args):
+        raise AssertionError("the numpy march ran")
 
-    monkeypatch.setattr(solver, "_march_stack", stack)
+    monkeypatch.setattr(solver, "_march_numpy", fallback)
     solve(desk_problem(grid=desk_grid(n_time=4)))
 
 

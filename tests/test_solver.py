@@ -528,56 +528,48 @@ def _sigma_sweep_stack():
 
 
 def _count_source_calls(monkeypatch):
-    """Record the number of rows of every ``solver._source_into`` call. The
-    count is a property of the numpy stack, so the test marches there."""
+    """Record the rates of every ``solver.nonlinear_source`` call. The count
+    is a property of the numpy march, so the test marches there."""
     monkeypatch.setattr(_kernel, "enabled", False)
     calls = []
-    source = solver._source_into  # what the march calls once per sub-step slot
-    monkeypatch.setattr(solver, "_source_into", lambda out, rows, *views:
-                        calls.append(len(rows)) or source(out, rows, *views))
+    source = solver.nonlinear_source  # what the numpy march calls once per sub-step
+    monkeypatch.setattr(solver, "nonlinear_source", lambda row, grid, rates:
+                        calls.append(rates) or source(row, grid, rates))
     return calls
 
 
-def test_one_source_call_per_sub_step_slot(monkeypatch):
-    """Members with different sub-step counts share every sub-step call: a
-    level costs the largest nsub in source calls, not the sum over nsubs.
-    A slot evaluates the source over its covering prefix, the rows up to
-    its last member with a source; RiskFree rows sort last among equal
-    nsub, and a slot of RiskFree rows alone makes no source call."""
+def test_each_row_makes_one_source_call_per_sub_step(monkeypatch):
+    """In the sigma-sweep stack, members at every sub-step count from 1 to
+    9, each member makes n_time * nsub source calls when it has a source
+    and none when it is RiskFree."""
     members = _sigma_sweep_stack()
-    nsubs = [solver.plan(prob).nsub for prob in members]
-    assert set(nsubs) == set(range(1, 10))
+    plans = [solver.plan(prob) for prob in members]
+    assert {pl.nsub for pl in plans} == set(range(1, 10))
+    assert len({pl.rates for pl in plans}) == len(members) // 2 + 1  # RiskFree share theirs
     calls = _count_source_calls(monkeypatch)
     solve_stack(members)
     n_time = members[0].grid.n_time
-    # stack order: nsub largest first, RiskFree last among equals
-    order = sorted((-nsub, prob.variant is ModelVariant.RISK_FREE)
-                   for nsub, prob in zip(nsubs, members))
-    per_level = []
-    for j in range(9):
-        # slot j of each level updates the members whose nsub exceeds j
-        prefix = [risk_free for minus_nsub, risk_free in order if -minus_nsub > j]
-        m = max((i + 1 for i, risk_free in enumerate(prefix) if not risk_free), default=0)
-        if m:
-            per_level.append(m)
-    # only sigma = 0.3's RiskFree twin reaches nsub 9, so its slot has no source
-    assert len(per_level) == 8
-    assert calls == per_level * n_time
+    for prob, pl in zip(members, plans):
+        has_source = prob.variant is not ModelVariant.RISK_FREE
+        assert solver._has_source(pl.rates) is has_source
+        assert calls.count(pl.rates) == (n_time * pl.nsub if has_source else 0)
+    assert len(calls) == sum(n_time * pl.nsub for pl in plans[::2])
 
 
 def test_a_risk_free_solve_makes_no_source_call(monkeypatch):
     """RiskFree rates are all +0.0: its march is the linear update alone. A
     -0.0 rate keeps the source (BKTC with R_B = R_C = 1, s_F = 0 and
-    lambda_B = 0 < r*C_B has rates (+0.0, -0.0, +0.0))."""
+    lambda_B = 0 < r*C_B has rates (+0.0, -0.0, +0.0)), so that row makes
+    one source call per sub-step."""
     calls = _count_source_calls(monkeypatch)
     solve(desk_problem(variant=ModelVariant.RISK_FREE))
     assert calls == []
     negative_zero = desk_problem(s_F=0.0, R_C=1.0, R_B=1.0, lambda_B=0.0, C_B=0.01)
     rates = solver.plan(negative_zero).rates
     assert rates == (0.0, 0.0, 0.0) and [math.copysign(1.0, r) for r in rates] == [1, -1, 1]
-    assert list(solver._has_source([rates, (0.0, 0.0, 0.0)])) == [True, False]
+    assert solver._has_source(rates) and not solver._has_source((0.0, 0.0, 0.0))
     solve(negative_zero)
-    assert calls == [1] * negative_zero.grid.n_time * solver.plan(negative_zero).nsub
+    assert len(calls) == negative_zero.grid.n_time * solver.plan(negative_zero).nsub
 
 
 @st.composite
@@ -652,8 +644,8 @@ def test_an_overflowing_wall_fails_its_member_only(both_marches, n_space, subste
     floats: the wall reads inf instead of raising OverflowError, whatever
     nsub, so the member fails with NonFiniteValue and a healthy member
     marched with it keeps its lone values. Kept at level 0, before the wall
-    overflows, the member still fails: the march checks its last level,
-    not the kept one."""
+    overflows, the member still fails: the march checks every sub-step up
+    to its last level, not only the kept one."""
     grid = desk_grid(n_space=n_space)
     blow = desk_problem(variant=ModelVariant.RISK_FREE, q_S=800.0, grid=grid)
     healthy = desk_problem(grid=grid)
@@ -715,9 +707,8 @@ def test_non_finite_value_is_the_first_failing_sub_step(both_marches, overrides,
                                                         substep, nsub, failure):
     """The (step, node) a march reports must be the first non-finite
     sub-step of the plain per-sub-step loop, lone and stacked between a
-    stable desk member and a RiskFree sigma = 0.3 member: the kernel checks
-    every sub-step, and the numpy stack checks its last level and marches a
-    failing member again alone, checking every sub-step."""
+    stable desk member and a RiskFree sigma = 0.3 member: both marches
+    check every sub-step."""
     grid = desk_grid(n_space=n_space)
     blow = desk_problem(grid=grid, **overrides)
     members = [desk_problem(grid=grid), blow,
