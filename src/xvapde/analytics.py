@@ -20,7 +20,7 @@ import numpy as np
 from .csvio import write_rows
 from .grid import build_space_grid
 from .model import ModelParams, ModelVariant
-from .solver import Problem, solve_pairs, solved
+from .solver import Problem, _solve_pairs, solve_pairs, solved
 
 __all__ = ["closed_form_call", "closed_form_call_delta", "cva_rows", "cva_profile",
            "compare_models", "sweep", "SweepResult"]
@@ -113,8 +113,9 @@ def sweep(base: Problem, parameter: str, values) -> SweepResult:
 
     Values must be strictly increasing. A member that fails (bad parameter
     value, ill-posed solve) is recorded under errors and the sweep moves on.
-    Every member and its RiskFree twin go through one ``solve_pairs``
-    call, which builds the shared grid once.
+    Every member and its RiskFree twin go through one stack on one grid
+    build; RiskFree twins that the swept parameter does not reach plan and
+    march once.
     """
     if parameter not in _PARAM_FIELDS:
         raise ValueError(f"{parameter!r} is not a model parameter "
@@ -125,6 +126,7 @@ def sweep(base: Problem, parameter: str, values) -> SweepResult:
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError("sweep values must be strictly increasing")
 
+    grid = build_space_grid(base.grid)
     outcomes: dict[float, object] = {}
     pairs = {}
     for v in vals:
@@ -134,11 +136,11 @@ def sweep(base: Problem, parameter: str, values) -> SweepResult:
             outcomes[v] = exc
             continue
         pairs[v] = _with_risk_free(prob)
-    outcomes.update(zip(pairs, solve_pairs(list(pairs.values()))))
+    outcomes.update(zip(pairs, _solve_pairs(list(pairs.values()), {base.grid: grid})))
     failed = {v for v in vals if isinstance(outcomes[v], Exception)}
     return SweepResult(
         parameter=parameter, values=vals,
         prices=tuple(None if v in failed else outcomes[v][0] for v in vals),
         cvas=tuple(None if v in failed else outcomes[v][2] for v in vals),
-        spots=build_space_grid(base.grid).spots, variant=base.variant,
+        spots=grid.spots, variant=base.variant,
         errors={v: f"{type(outcomes[v]).__name__}: {outcomes[v]}" for v in vals if v in failed})

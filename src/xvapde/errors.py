@@ -31,6 +31,9 @@ class NonFiniteValue(EngineError):
         self.node = node
         super().__init__(f"non-finite value at time step {step}, node {node}")
 
+    def __reduce__(self):  # copy and pickle rebuild it from (step, node)
+        return type(self), (self.step, self.node)
+
 
 class ConfigError(EngineError):
     """A scenario config is malformed: unknown key, bad type, or bad value."""

@@ -156,9 +156,10 @@ def greeks_report(prob: Problem, eps_sigma: float | None = None,
     _check_wall_stencils(prob.grid.n_space + 1)
     eps_sigma, sigma_up, sigma_dn = _bumped(prob, "vega", eps_sigma)
     eps_r, r_up, r_dn = _bumped(prob, "rho", eps_r)
-    base, s_up, s_dn, up, dn = (solved(row) for row in _solve_stack(
-        [prob, sigma_up, sigma_dn, r_up, r_dn], ties=[(1, 2), (3, 4)]))
     grid = build_space_grid(prob.grid)
+    base, s_up, s_dn, up, dn = (solved(row) for row in _solve_stack(
+        [prob, sigma_up, sigma_dn, r_up, r_dn], ties=[(1, 2), (3, 4)],
+        grids={prob.grid: grid}))
     delta, gamma = _delta_gamma_row(base, grid)
     return GreeksReport(spots=grid.spots, delta=delta, gamma=gamma,
                         vega=(s_up - s_dn) / (2.0 * eps_sigma), rho=(up - dn) / (2.0 * eps_r),

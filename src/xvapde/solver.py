@@ -24,7 +24,9 @@ tau once: the condition checks and warnings, the grid, the sub-step count
 and size, the weights (a, b, c), the three source rates and the wall
 curves. The march then only does arithmetic, one row at a time: ``solve``
 marches one problem, ``solve_stack`` and ``solve_pairs`` many, sharing
-their grid builds.
+their grid builds. Members of a stack that would plan to the same bits
+(the RiskFree twins of a credit or cost sweep) plan once and, at one
+nsub, march once.
 
 The march is a compiled C kernel (``_march.c``, built on first use and
 loaded with ctypes; see ``_kernel``): one call marches one row through
@@ -45,6 +47,7 @@ overflows, not where 0*inf would first have turned NaN.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -59,6 +62,8 @@ from .model import (
     ConditionReport,
     ModelParams,
     ModelVariant,
+    check_condition2,
+    check_condition4,
     cpty_cost_rate,
     modified_variance,
     negative_exposure_rate,
@@ -203,12 +208,19 @@ class Plan:
 
 
 def _check_conditions(prob: Problem, p: ModelParams) -> None:
-    """Condition 1 raises; conditions 2 and 4 and lambda_B < r*C_B only warn."""
+    """Condition 1 raises; conditions 2 and 4 and lambda_B < r*C_B only warn.
+
+    The condition reports, and the text behind them, are built only when
+    condition 2 or 4 fails.
+    """
     modified_variance(p)  # condition 1, hard
     if negative_exposure_rate(p) < 0.0:
         warnings.warn(
             "lambda_B < r*C_B: the condition2 bracket assumes a nonnegative "
             "negative-exposure rate", ModelAssumptionWarning, stacklevel=3)
+    if (check_condition2(p, prob.condition2_c)
+            and check_condition4(p, math.exp(prob.grid.x_plus))):
+        return
     for rep in prob.validity_checks():
         if rep.name in _ADVISORY and not rep.passed:
             warnings.warn(
@@ -232,6 +244,9 @@ def _check_monotone(grid: SpaceGrid, a: np.ndarray, b: np.ndarray, c: np.ndarray
     """
     sink = delta * rates[2] / grid.h[1:]
     centre = b - delta * (max(rates[0], rates[1], 0.0) + rates[2] / grid.h[1:])
+    # the common case: no weight negative (a NaN weight reads False here too)
+    if all(w.min() >= 0.0 for w in (a, c, c - sink, centre)):
+        return
     for weights, consequence in (
             ({"a": a, "c": c}, ", so prices may leave their payoff's bounds; "
              "drift_discretization='upwind' keeps a and c nonnegative"),
@@ -405,43 +420,86 @@ def solve_stack(problems, time_index: int | None = -1, substep: bool = True) -> 
     when it is None), or the EngineError that stopped that problem alone:
     a broken condition 1 at planning, or NonFiniteValue in the march.
     Problems that share a grid share its build; each marches alone, at its
-    own nsub. An index out of range for any problem's grid raises
-    IndexError first.
+    own nsub, except that problems that would plan and march to the same
+    bits plan and march once, and each gets its own copy of the outcome.
+    An index out of range for any problem's grid raises IndexError first.
     """
     return _solve_stack(problems, time_index, substep)
 
 
 def _solve_stack(problems, time_index: int | None = -1, substep: bool = True,
-                 ties=()) -> list:
+                 ties=(), grids: dict[GridSpec, SpaceGrid] | None = None) -> list:
     """``solve_stack``, with ``ties``: tuples of member indices that march at
     the largest nsub among them, so a difference of two of them carries
-    one time-truncation error. A larger nsub only shrinks the sub-step."""
+    one time-truncation error. A larger nsub only shrinks the sub-step.
+    ``grids`` holds grids the caller has already built, by spec; the stack
+    adds the ones it builds.
+
+    Members with equal ``_plan_key`` plan once, and march once where they
+    also march at the same nsub; every other member of such a group gets
+    its own copy of that outcome (``_duplicate``).
+    """
     if time_index is not None and problems:  # before any planning and its warnings
         levels = min(prob.grid.n_time + 1 for prob in problems)
         if not -levels <= time_index < levels:
             raise IndexError(f"time_index {time_index} is out of range for a grid of "
                              f"{levels} levels")
     out: list = [None] * len(problems)
-    grids: dict[GridSpec, SpaceGrid] = {}
+    grids = {} if grids is None else grids
+    keys = [_plan_key(prob) for prob in problems]
+    planned: dict[tuple, int] = {}  # plan key -> the member that planned it
     plans: dict[int, Plan] = {}
     for i, prob in enumerate(problems):
-        try:
-            if prob.grid not in grids:
-                grids[prob.grid] = build_space_grid(prob.grid)
-            plans[i] = plan(prob, substep, grids[prob.grid])
-        except EngineError as exc:
-            out[i] = exc
+        first = planned.setdefault(keys[i], i)
+        if first in plans:
+            plans[i] = plans[first]
+        elif first != i:
+            out[i] = _duplicate(out[first])
+        else:
+            try:
+                if prob.grid not in grids:
+                    grids[prob.grid] = build_space_grid(prob.grid)
+                plans[i] = plan(prob, substep, grids[prob.grid])
+            except EngineError as exc:
+                out[i] = exc
     for tie in ties:
         tied = [i for i in tie if i in plans]
         nsub = max((plans[i].nsub for i in tied), default=1)
         for i in tied:
             if plans[i].nsub < nsub:
                 plans[i] = _at_nsub(plans[i], problems[i], nsub)
+    marched: dict[tuple, int] = {}  # (plan key, nsub) -> the member that marched it
     for i, pl in plans.items():
+        first = marched.setdefault((keys[i], pl.nsub), i)
+        if first != i:
+            out[i] = _duplicate(out[first])
+            continue
         n_time = problems[i].grid.n_time
         keep = None if time_index is None else range(n_time + 1)[time_index]
         out[i] = _march(pl, pl.start, 0, n_time, keep)
     return out
+
+
+def _plan_key(prob: Problem) -> tuple:
+    """What ``plan`` reads of a problem: two problems with equal keys plan,
+    and at one nsub march, to the same bits.
+
+    Of the variant-filtered parameters, the plan reads r, q_S, gamma_S,
+    sigma, dt and C_S, and the others only through the three source rates,
+    so the RiskFree twins of a lambda_C, R_C or C_S sweep share one key.
+    These and condition2_c count by their bits and types, so a -0.0 rate
+    never merges with a +0.0 one. The instrument counts by identity.
+    """
+    p = prob.effective_params()
+    values = (p.r, p.q_S, p.gamma_S, p.sigma, p.dt, p.C_S, *source_rates(p), prob.condition2_c)
+    return (np.array(values, dtype=float).tobytes(), tuple(map(type, values)), prob.grid,
+            prob.instrument, prob.boundary_mode, prob.drift_discretization)
+
+
+def _duplicate(outcome):
+    """A copy of one member's outcome for its duplicate: the rows, or an
+    error of the same type and message."""
+    return copy.copy(outcome) if isinstance(outcome, EngineError) else outcome.copy()
 
 
 def solve_pairs(pairs) -> list:
@@ -450,7 +508,12 @@ def solve_pairs(pairs) -> list:
     One outcome per pair: the terminal rows (first, second, first - second),
     or the error of the first member that failed.
     """
-    rows = solve_stack([prob for pair in pairs for prob in pair])
+    return _solve_pairs(pairs)
+
+
+def _solve_pairs(pairs, grids: dict[GridSpec, SpaceGrid] | None = None) -> list:
+    """``solve_pairs``, with the ``grids`` of ``_solve_stack``."""
+    rows = _solve_stack([prob for pair in pairs for prob in pair], grids=grids)
     out = []
     for first, second in zip(rows[::2], rows[1::2]):
         failed = [r for r in (first, second) if isinstance(r, EngineError)]

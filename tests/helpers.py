@@ -103,3 +103,30 @@ def first_non_finite(prob: Problem, substep: bool = True):
             if first is None and bad.any():
                 first = m, int(np.argmax(bad))
     return first
+
+
+def monotone_warnings(grid, a, b, c, delta, rates) -> list[str]:
+    """The messages of the non-monotone step check, with every weight
+    diagnosed node by node whatever its sign: the reference for
+    ``solver._check_monotone``, which skips the diagnosis when no weight is
+    negative."""
+    messages = []
+    sink = delta * rates[2] / grid.h[1:]
+    centre = b - delta * (max(rates[0], rates[1], 0.0) + rates[2] / grid.h[1:])
+    for weights, consequence in (
+            ({"a": a, "c": c}, ", so prices may leave their payoff's bounds; "
+             "drift_discretization='upwind' keeps a and c nonnegative"),
+            ({"c - delta*kappa/h_f": np.where(c >= 0.0, c - sink, np.nan)},
+             ": the counterparty-bond cost sink kappa*|U_x| outweighs the upper neighbour's "
+             "weight where U_x > 0, so a call price may turn negative"),
+            ({"b - delta*(max(rho+, rho-, 0) + kappa/h_f)": centre},
+             ": what the exposure rates and the cost sink take off the centre weight leaves "
+             "it negative, so prices may overshoot; more time levels shrink the sub-step")):
+        bad = np.flatnonzero(np.minimum.reduce(list(weights.values())) < 0.0)
+        if bad.size:
+            k = int(bad[0])
+            name = next(n for n, w in weights.items() if w[k] < 0.0)
+            messages.append(
+                f"non-monotone explicit step: {name} = {weights[name][k]:.6g} < 0 at node "
+                f"{k + 1} (S = {grid.spots[k + 1]:.6g}){consequence}")
+    return messages

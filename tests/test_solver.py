@@ -1,7 +1,9 @@
 """The explicit march: coefficients, source, sub-stepping, and guards."""
 
+import copy
 import csv
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -20,19 +22,22 @@ from xvapde import (
     WellPosednessViolation,
     build_space_grid,
     cpty_cost_rate,
+    cva_profile,
+    greeks_report,
     modified_variance,
     solve,
     solve_pairs,
     solve_stack,
     stability_bound,
+    sweep,
     turnover_factor,
     validity_checks,
 )
 from xvapde.instrument import boundary_values, payoff
 from xvapde.model import negative_exposure_rate, positive_exposure_rate
-from xvapde.solver import nonlinear_source, source_rates, step, step_coefficients
+from xvapde.solver import DRIFT_MODES, nonlinear_source, source_rates, step, step_coefficients
 
-from xvapde import _kernel, solver
+from xvapde import _kernel, model, solver
 from xvapde.instrument import BOUNDARY_MODES
 
 from helpers import (
@@ -43,6 +48,7 @@ from helpers import (
     desk_params,
     desk_problem,
     first_non_finite,
+    monotone_warnings,
     serial_solve,
 )
 
@@ -744,3 +750,238 @@ def test_an_out_of_range_time_index_fails_before_planning():
     with pytest.warns(ModelAssumptionWarning, match="lambda_B"):
         rows = solve_stack([prob], time_index=-262)
     np.testing.assert_array_equal(rows[0], payoff(prob.instrument, build_space_grid(prob.grid)))
+
+
+# --- Duplicate members ---
+
+def _count_plans_and_marches(monkeypatch):
+    """Count the ``solver.plan`` and ``solver._march`` calls; reset the
+    counts with ``calls.update(plan=0, _march=0)``."""
+    calls = {"plan": 0, "_march": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(solver, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+SWEEPS = {"lambda_C": (np.linspace(0.005, 0.04, 8), 9),
+          "R_C": (np.linspace(0.1, 0.8, 8), 9),
+          "C_S": (np.linspace(0.0005, 0.004, 8), 9),
+          "sigma": (np.linspace(0.1, 0.3, 8), 16)}
+
+
+@pytest.mark.parametrize("parameter", SWEEPS)
+def test_a_sweep_plans_and_marches_each_distinct_member_once(both_marches, monkeypatch,
+                                                             parameter):
+    """The RiskFree variant zeroes lambda_C and C_S and reads R_C only
+    through terms it zeroes, so the 8 RiskFree twins of such a sweep are one
+    problem: 9 plans and 9 marches. A sigma sweep reaches the twins too and
+    stays at 16. Every price and CVA is still its member's lone solve, bit
+    for bit."""
+    values, distinct = SWEEPS[parameter]
+    base = desk_problem()
+    calls = _count_plans_and_marches(monkeypatch)
+    for _ in both_marches():
+        calls.update(plan=0, _march=0)
+        result = sweep(base, parameter, values)
+        assert calls == {"plan": distinct, "_march": distinct}
+        assert not result.errors
+        rf = desk_problem(variant=ModelVariant.RISK_FREE)
+        for v, price, cva in zip(values, result.prices, result.cvas):
+            member = desk_problem(**{parameter: float(v)})
+            lone = solve(member).terminal
+            twin = solve(desk_problem(variant=ModelVariant.RISK_FREE, **{parameter: float(v)}))
+            assert price.tobytes() == lone.tobytes()
+            assert cva.tobytes() == (lone - twin.terminal).tobytes()
+            if distinct == 9:
+                assert twin.terminal.tobytes() == solve(rf).terminal.tobytes()
+
+
+@pytest.mark.parametrize("request_kind, distinct", [("greeks", 5), ("cva", 2)])
+def test_greeks_and_cva_keep_their_member_counts(both_marches, monkeypatch, request_kind,
+                                                 distinct):
+    prob = desk_problem()
+    calls = _count_plans_and_marches(monkeypatch)
+    for _ in both_marches():
+        calls.update(plan=0, _march=0)
+        greeks_report(prob) if request_kind == "greeks" else cva_profile(prob)
+        assert calls == {"plan": distinct, "_march": distinct}
+
+
+def test_signed_zero_members_are_not_merged(both_marches, monkeypatch):
+    """With lambda_C = -0.0, s_F = -0.0 gives a -0.0 positive-exposure rate
+    and s_F = +0.0 a +0.0 one: the first row has a source, the second is
+    zero-source, so the two BK members plan apart. The zero-source one
+    plans with the RiskFree twins, where the variant sets s_F to +0.0: BK
+    zeroes C_S too, so all three read the same bits. The two desk members
+    plan once, since lambda_C = 0.01 leaves both rates the same bits."""
+    shared = dict(grid=desk_grid(n_time=20), instrument=Instrument("call", STRIKE))
+    members = [desk_problem(variant=variant, s_F=s_F, lambda_B=0.0, lambda_C=-0.0, **shared)
+               for variant in (ModelVariant.BK, ModelVariant.RISK_FREE)
+               for s_F in (0.0, -0.0)]
+    members += [desk_problem(s_F=s_F, **shared) for s_F in (0.0, -0.0)]
+    assert [solver._has_source(source_rates(m.effective_params())) for m in members[:2]] \
+        == [False, True]
+    calls = _count_plans_and_marches(monkeypatch)
+    for _ in both_marches():
+        calls.update(plan=0, _march=0)
+        rows = solve_stack(members)
+        assert calls == {"plan": 3, "_march": 3}
+        for prob, row in zip(members, rows):
+            assert row.tobytes() == solve(prob).terminal.tobytes()
+
+
+def test_distinct_custom_payoff_instruments_are_not_merged(both_marches, monkeypatch):
+    """An Instrument counts by identity: two custom payoffs plan apart, one
+    object twice plans once."""
+    grid = desk_grid(n_space=40, n_time=10)
+    spots = build_space_grid(grid).spots
+    low = Instrument("custom", STRIKE, custom_payoff=np.maximum(spots - STRIKE, 0.0))
+    high = Instrument("custom", STRIKE, custom_payoff=np.maximum(spots - 2 * STRIKE, 0.0))
+    members = [desk_problem(grid=grid, instrument=inst) for inst in (low, high, low)]
+    calls = _count_plans_and_marches(monkeypatch)
+    for _ in both_marches():
+        calls.update(plan=0, _march=0)
+        rows = solve_stack(members)
+        assert calls == {"plan": 2, "_march": 2}
+        for prob, row in zip(members, rows):
+            assert row.tobytes() == solve(prob).terminal.tobytes()
+        assert not np.array_equal(rows[0], rows[1])
+
+
+@pytest.mark.parametrize("time_index", [-1, None])
+def test_each_duplicate_gets_its_own_rows(both_marches, time_index):
+    prob = desk_problem(variant=ModelVariant.RISK_FREE, grid=desk_grid(n_time=20))
+    lone = solve(prob).values
+    lone = lone if time_index is None else lone[time_index]
+    for _ in both_marches():
+        first, second = solve_stack([prob, prob], time_index=time_index)
+        assert not np.shares_memory(first, second)
+        first[...] = 7.0
+        assert second.tobytes() == lone.tobytes()
+
+
+def test_each_duplicate_gets_its_own_error(both_marches):
+    """A planning error and a march error reach every duplicate as an error
+    of their own, of the same type and message."""
+    ill = desk_problem(sigma=0.02, grid=desk_grid(n_time=4))
+    unstable = desk_problem(sigma=0.4)
+    for _ in both_marches():
+        with pytest.warns(ModelAssumptionWarning, match="centre weight"):
+            outs = solve_stack([ill, unstable, ill, unstable], substep=False)
+        for first, again, kind in ((outs[0], outs[2], WellPosednessViolation),
+                                   (outs[1], outs[3], NonFiniteValue)):
+            assert type(first) is kind and type(again) is kind and first is not again
+            assert str(first) == str(again)
+        assert (outs[1].step, outs[1].node) == (outs[3].step, outs[3].node)
+
+
+def test_a_non_finite_value_survives_copy_and_pickle():
+    """Duplicates get a copy of their member's error; a copy or a pickle
+    round trip of a NonFiniteValue keeps its step, node and message."""
+    err = NonFiniteValue(260, 100)
+    for back in (copy.copy(err), pickle.loads(pickle.dumps(err))):
+        assert type(back) is NonFiniteValue and (back.step, back.node) == (260, 100)
+        assert str(back) == str(err)
+
+
+def test_duplicates_warn_once():
+    prob = desk_problem(q_S=0.2, grid=desk_grid(n_time=4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_stack([prob, prob, prob])
+    assert ["condition4" in str(w.message) for w in caught] == [True]
+
+
+_RATE_INPUTS = ("s_F", "lambda_B", "lambda_C", "R_B", "R_C", "C_B", "C_C")
+
+
+@given(variant=st.sampled_from(ModelVariant), redrawn=st.sets(st.sampled_from(_RATE_INPUTS)),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_members_with_one_plan_key_plan_to_the_same_bits(variant, redrawn, data):
+    """Two members that differ only in inputs the plan reads through the
+    source rates share a key exactly when their rates have the same bits,
+    and then their plans and warnings are the same. RiskFree members
+    always share one; BK members whenever only the costs differ."""
+    def draw_input(name):
+        if name.startswith("R_"):
+            return data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        return data.draw(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 0.3))
+
+    grid = desk_grid(n_space=data.draw(st.integers(4, 40)), n_time=data.draw(st.integers(1, 6)))
+    inputs = {name: draw_input(name) for name in _RATE_INPUTS}
+    first = desk_problem(variant=variant, grid=grid, **inputs)
+    second = desk_problem(variant=variant, grid=grid, instrument=first.instrument,
+                          **dict(inputs, **{name: draw_input(name) for name in redrawn}))
+    rates = [np.array(source_rates(m.effective_params())).tobytes() for m in (first, second)]
+    same = solver._plan_key(first) == solver._plan_key(second)
+    assert same == (rates[0] == rates[1])
+    if variant is ModelVariant.RISK_FREE or (variant is ModelVariant.BK and
+                                             redrawn <= {"C_B", "C_C"}):
+        assert same
+    if not same:
+        return
+    space = build_space_grid(grid)
+    plans, messages = [], []
+    for prob in (first, second):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plans.append(solver.plan(prob, grid=space))
+        messages.append([str(w.message) for w in caught])
+    assert messages[0] == messages[1]
+    for name in ("a", "b", "c", "rates", "walls", "start", "dtau", "delta", "nsub"):
+        assert (np.array(getattr(plans[0], name)).tobytes()
+                == np.array(getattr(plans[1], name)).tobytes()), name
+
+
+# --- The cheap plan path ---
+
+def test_a_passing_plan_builds_no_condition_report(monkeypatch):
+    """Conditions 2 and 4 are decided by their checks; the reports, and the
+    number formatting behind them, are built only when one fails."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("condition report built on the passing path")
+    monkeypatch.setattr(Problem, "validity_checks", refuse)
+    monkeypatch.setattr(model, "_sides", refuse)
+    for variant in ModelVariant:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solver.plan(desk_problem(variant=variant))
+    with pytest.raises(AssertionError, match="passing path"):
+        solver.plan(desk_problem(q_S=0.2))
+
+
+@given(q_S=st.floats(0.0, 0.1), gamma_S=st.floats(0.0, 0.1), sigma=st.floats(0.05, 0.4),
+       C_C=st.floats(0.0, 0.3), lambda_B=st.floats(0.0, 0.1), lambda_C=st.floats(0.0, 0.2),
+       s_F=st.floats(0.0, 0.05), n_space=st.integers(4, 60),
+       n_time=st.sampled_from([1, 4, 261]), substep=st.booleans(),
+       variant=st.sampled_from(ModelVariant), drift=st.sampled_from(DRIFT_MODES),
+       nan_at=st.none() | st.tuples(st.sampled_from("abc"), st.floats(0.0, 1.0)))
+@settings(max_examples=150, deadline=None)
+def test_the_monotone_check_warns_as_the_full_diagnosis(q_S, gamma_S, sigma, C_C, lambda_B,
+                                                        lambda_C, s_F, n_space, n_time,
+                                                        substep, variant, drift, nan_at):
+    """Over random desk perturbations, with or without a NaN weight, the
+    planned check warns exactly when the node-by-node diagnosis does, with
+    the same messages in the same order."""
+    prob = desk_problem(variant=variant, grid=desk_grid(n_space=n_space, n_time=n_time),
+                        q_S=q_S, gamma_S=gamma_S, sigma=sigma, C_C=C_C,
+                        lambda_B=lambda_B, lambda_C=lambda_C, s_F=s_F)
+    p = prob.effective_params()
+    grid = build_space_grid(prob.grid)
+    nsub = max(1, math.ceil(prob.grid.dtau / stability_bound(grid, p))) if substep else 1
+    delta = prob.grid.dtau / nsub
+    weights = dict(zip("abc", step_coefficients(grid, p, delta, drift)))
+    if nan_at is not None:
+        name, where = nan_at
+        weights[name][int(where * (n_space - 2))] = np.nan
+    rates = source_rates(p)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solver._check_monotone(grid, *weights.values(), delta, rates)
+    assert all(w.category is ModelAssumptionWarning for w in caught)
+    assert ([str(w.message) for w in caught]
+            == monotone_warnings(grid, *weights.values(), delta, rates))
