@@ -6,7 +6,7 @@ PDE: trading costs on the share shrink the effective variance, and
 funding/credit exposure plus counterparty-bond rebalancing costs enter as a
 nonlinear source. The solver marches the payoff backward on a sinh-stretched
 log-price grid with an explicit scheme that sub-steps itself below its
-monotonicity bound; variants of one scenario share their grid build and
+stability bound; variants of one scenario share their grid build and
 march one row at a time.
 """
 

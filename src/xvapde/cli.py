@@ -22,7 +22,7 @@ from .csvio import write_rows
 from .errors import ConfigError, EngineError, InvalidSpec
 from .greeks import DEFAULT_EPS, greeks_report
 from .grid import GridSpec, build_space_grid
-from .instrument import BOUNDARY_MODES, Instrument
+from .instrument import Instrument
 from .model import ModelParams, ModelVariant
 from .solver import DRIFT_MODES, Problem, solve
 
@@ -43,6 +43,7 @@ INSTRUMENT_DEFAULTS = {"kind": "call", "strike": 8.0, "custom_payoff": None}
 GREEKS_DEFAULTS = {"eps_sigma": DEFAULT_EPS["vega"], "eps_r": DEFAULT_EPS["rho"]}
 TOP_DEFAULTS = {
     "variant": "BKTC",
+    # one legal value: the key stays so every resolved_config.json written re-runs
     "boundary_mode": "model_consistent",
     "drift_discretization": "forward",
     "condition2_c": 1.0,
@@ -114,8 +115,9 @@ def resolve_config(cfg: dict) -> dict:
                          - _number("grid.x_minus", grid["x_minus"])) / 10.0
     if top["variant"] not in VARIANT_TAGS:
         raise ConfigError(f"variant must be one of {VARIANT_TAGS}, got {top['variant']!r}")
-    if top["boundary_mode"] not in BOUNDARY_MODES:
-        raise ConfigError(f"boundary_mode must be one of {BOUNDARY_MODES}")
+    if top["boundary_mode"] != "model_consistent":
+        raise ConfigError("boundary_mode must be 'model_consistent', the only wall recipe, "
+                          f"got {top['boundary_mode']!r}")
     if top["drift_discretization"] not in DRIFT_MODES:
         raise ConfigError(f"drift_discretization must be one of {DRIFT_MODES}")
     swp = top["sweep"]
@@ -161,7 +163,6 @@ def build_problem(resolved: dict) -> Problem:
         raise ConfigError(f"instrument: {exc}") from exc
     return Problem(params=params, variant=ModelVariant(resolved["variant"]),
                    grid=grid, instrument=inst,
-                   boundary_mode=resolved["boundary_mode"],
                    drift_discretization=resolved["drift_discretization"],
                    condition2_c=resolved["condition2_c"])
 

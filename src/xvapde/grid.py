@@ -105,11 +105,16 @@ def build_time_grid(spec: GridSpec) -> np.ndarray:
 
 
 def stability_bound(grid: SpaceGrid, p: ModelParams) -> float:
-    """Largest explicit-Euler step that keeps every interior update monotone.
+    """Largest explicit-Euler step that keeps the centre weight b of the
+    linear update nonnegative.
 
     min over interior nodes of 1 / (sig2/2*(h_plus+h_minus) + |drift|/h_fwd + r)
-    with drift = q_S - gamma_S - sig2/2. Returns +inf when the denominator
-    vanishes everywhere (no decay, no diffusion, no drift).
+    with drift = q_S - gamma_S - sig2/2. It counts the linear weights only,
+    with |drift|/h_fwd even under ``upwind``, where a negative drift sits on
+    the backward spacing instead; it counts neither the exposure rates nor
+    the cost sink. ``solver.plan`` warns where what it leaves out makes a
+    step non-monotone. Returns +inf when the denominator vanishes everywhere
+    (no decay, no diffusion, no drift).
     """
     sig2, drift = variance_and_drift(p)
     denom = 0.5 * sig2 * (grid.h_plus + grid.h_minus) + abs(drift) / grid.h[1:] + p.r

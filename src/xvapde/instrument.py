@@ -1,21 +1,15 @@
 """Terminal payoffs and Dirichlet boundary data in log-price space.
 
-Three upper/lower boundary recipes are supported for the vanilla kinds:
-
-* ``model_consistent`` (default): deep in the money the value is affine,
-  V = A(tau)*S - B(tau)*K. The strike leg discounts at the positive-exposure
-  rate r + s_F + lambda_C*(1-R_C); the stock leg compounds at the rate the
-  forward-drift stencil itself realizes on e^x at the wall spacing (the grid
-  continued one cell past the wall by its last ratio). Pinning the stock leg
-  at its continuous-limit rate instead leaves the wall a first-order-in-h
-  step behind the interior march, which surfaces as a concave kink in the
-  value and a Delta dip over the last few nodes.
-* ``discounted_strike``: S - K*exp(-r*tau), the risk-free asymptote.
-* ``asymptotic``: the raw payoff asymptote S (call) or K (put).
-
-All three agree with the payoff at tau = 0 except ``asymptotic``, which
-ignores the strike leg by construction. Custom instruments hold their
-endpoint payoff values fixed regardless of mode.
+The far wall of a call or put is the deep in-the-money affine value
+V = A(tau)*S - B(tau)*K. The strike leg discounts at the positive-exposure
+rate r + s_F + lambda_C*(1-R_C); the stock leg compounds at the rate the
+forward-drift stencil itself realizes on e^x at the wall spacing (the grid
+continued one cell past the wall by its last ratio). Pinning the stock leg
+at its continuous-limit rate instead leaves the wall a first-order-in-h
+step behind the interior march, which surfaces as a concave kink in the
+value and a Delta dip over the last few nodes. Both legs agree with the
+payoff at tau = 0, and the dead-side wall is zero. Custom instruments hold
+their endpoint payoff values fixed.
 """
 
 from __future__ import annotations
@@ -29,11 +23,9 @@ from .errors import MissingPayoff
 from .grid import SpaceGrid
 from .model import ModelParams, cpty_cost_rate, positive_exposure_rate, variance_and_drift
 
-__all__ = ["Instrument", "BOUNDARY_MODES", "payoff", "boundary_curves", "curve_values",
-           "boundary_values"]
+__all__ = ["Instrument", "payoff", "boundary_curves", "curve_values", "boundary_values"]
 
 KINDS = ("call", "put", "custom")
-BOUNDARY_MODES = ("model_consistent", "discounted_strike", "asymptotic")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,40 +72,28 @@ def _wall_stock_rate(p: ModelParams, hb: float, hf: float, cost_sign: float) -> 
             + cost_sign * cpty_cost_rate(p) * d1)
 
 
-def boundary_curves(inst: Instrument, grid: SpaceGrid, p: ModelParams,
-                    mode: str = "model_consistent"):
+def boundary_curves(inst: Instrument, grid: SpaceGrid, p: ModelParams):
     """Dirichlet data as curves in backward time, tau-free factors hoisted.
 
     Returns ``(lower, upper)``, each wall as the coefficients (P, p, Q, q)
-    of P*exp(p*tau) - Q*exp(q*tau): every recipe has that shape, and a
+    of P*exp(p*tau) - Q*exp(q*tau): every wall has that shape, and a
     constant c is (c, 0, 0, 0), exact since exp(0) is 1. ``curve_values``
-    evaluates them. ``p`` should already be variant-filtered; the
-    model_consistent recipe reads the funding/credit and cost inputs off it.
+    evaluates them. ``p`` should already be variant-filtered; the far wall
+    reads the funding/credit and cost inputs off it.
     """
-    if mode not in BOUNDARY_MODES:
-        raise ValueError(f"mode must be one of {BOUNDARY_MODES}, got {mode!r}")
     if inst.kind == "custom":
         g = payoff(inst, grid)
         return _constant(float(g[0])), _constant(float(g[-1]))
 
-    s_lo = math.exp(grid.nodes[0])
-    s_hi = math.exp(grid.nodes[-1])
+    h = grid.h
     K = inst.strike
-    call = inst.kind == "call"
-    if mode == "model_consistent":
-        h = grid.h
-        rho = p.r + positive_exposure_rate(p)  # deep ITM value is positive either kind
-        if call:
-            # the wall node's own spacings: h into the wall, last ratio beyond it
-            g_s = _wall_stock_rate(p, h[-1], h[-1] * h[-1] / h[-2], -1.0)
-            return _constant(0.0), (s_hi, g_s, K, -rho)
-        g_s = _wall_stock_rate(p, h[0] * h[0] / h[1], h[0], +1.0)
-        return (K, -rho, s_lo, g_s), _constant(0.0)
-    if mode == "discounted_strike":
-        if call:
-            return _constant(0.0), (s_hi, 0.0, K, -p.r)
-        return (K, -p.r, s_lo, 0.0), _constant(0.0)
-    return (_constant(0.0), _constant(s_hi)) if call else (_constant(K), _constant(0.0))
+    rho = p.r + positive_exposure_rate(p)  # deep ITM value is positive either kind
+    if inst.kind == "call":
+        # the wall node's own spacings: h into the wall, last ratio beyond it
+        g_s = _wall_stock_rate(p, h[-1], h[-1] * h[-1] / h[-2], -1.0)
+        return _constant(0.0), (math.exp(grid.nodes[-1]), g_s, K, -rho)
+    g_s = _wall_stock_rate(p, h[0] * h[0] / h[1], h[0], +1.0)
+    return (K, -rho, math.exp(grid.nodes[0]), g_s), _constant(0.0)
 
 
 def _constant(value: float) -> tuple[float, float, float, float]:
@@ -141,8 +121,8 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def boundary_values(inst: Instrument, grid: SpaceGrid, tau: float, p: ModelParams,
-                    mode: str = "model_consistent") -> tuple[float, float]:
+def boundary_values(inst: Instrument, grid: SpaceGrid, tau: float,
+                    p: ModelParams) -> tuple[float, float]:
     """Dirichlet data (lower, upper) at backward time tau; see boundary_curves."""
-    lo, hi = curve_values(boundary_curves(inst, grid, p, mode), [tau])
+    lo, hi = curve_values(boundary_curves(inst, grid, p), [tau])
     return float(lo[0]), float(hi[0])

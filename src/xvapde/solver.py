@@ -15,7 +15,7 @@ counterparty-bond cost sink on the positive part U = max(V, 0):
              + min(V_i,0)*(lambda_B - r C_B)(1-R_B)
              + sigma*sqrt(2/(pi*dt))*C_C*(1-R_C) * |(U[i+1]-U[i]) / (x[i+1]-x[i])|
 
-Whenever the reporting step exceeds the monotonicity bound of the grid, the
+Whenever the reporting step exceeds the grid's ``stability_bound``, the
 step is split into equal sub-steps automatically; passing substep=False
 disables the guard (useful only to demonstrate the blow-up).
 
@@ -57,7 +57,7 @@ import numpy as np
 from .csvio import write_rows
 from .errors import EngineError, ModelAssumptionWarning, NonFiniteValue
 from .grid import GridSpec, SpaceGrid, build_space_grid, build_time_grid, stability_bound
-from .instrument import BOUNDARY_MODES, Instrument, boundary_curves, curve_values, payoff
+from .instrument import Instrument, boundary_curves, curve_values, payoff
 from .model import (
     ConditionReport,
     ModelParams,
@@ -93,13 +93,10 @@ class Problem:
     variant: ModelVariant
     grid: GridSpec
     instrument: Instrument
-    boundary_mode: str = "model_consistent"
     drift_discretization: str = "forward"
     condition2_c: float = 1.0
 
     def __post_init__(self):
-        if self.boundary_mode not in BOUNDARY_MODES:
-            raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
         if self.drift_discretization not in DRIFT_MODES:
             raise ValueError(f"drift_discretization must be one of {DRIFT_MODES}")
 
@@ -290,7 +287,7 @@ def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> 
     rates = source_rates(p)
     _check_monotone(grid, a, b, c, delta, rates)
     return Plan(grid=grid, dtau=dtau, nsub=nsub, delta=delta, a=a, b=b, c=c, rates=rates,
-                walls=boundary_curves(prob.instrument, grid, p, prob.boundary_mode),
+                walls=boundary_curves(prob.instrument, grid, p),
                 start=payoff(prob.instrument, grid))
 
 
@@ -487,13 +484,21 @@ def _plan_key(prob: Problem) -> tuple:
     Of the variant-filtered parameters, the plan reads r, q_S, gamma_S,
     sigma, dt and C_S, and the others only through the three source rates,
     so the RiskFree twins of a lambda_C, R_C or C_S sweep share one key.
-    These and condition2_c count by their bits and types, so a -0.0 rate
-    never merges with a +0.0 one. The instrument counts by identity.
+    These, condition2_c and the strike count by their bits and types, so a
+    -0.0 rate never merges with a +0.0 one. The instrument counts by value:
+    its kind, its strike and a custom payoff's float64 bytes and shape, so
+    equal instruments built apart share a key.
     """
     p = prob.effective_params()
-    values = (p.r, p.q_S, p.gamma_S, p.sigma, p.dt, p.C_S, *source_rates(p), prob.condition2_c)
+    inst = prob.instrument
+    values = (p.r, p.q_S, p.gamma_S, p.sigma, p.dt, p.C_S, *source_rates(p), prob.condition2_c,
+              inst.strike)
+    custom = inst.custom_payoff
+    if custom is not None:
+        custom = np.asarray(custom, dtype=float)
+        custom = custom.tobytes(), custom.shape
     return (np.array(values, dtype=float).tobytes(), tuple(map(type, values)), prob.grid,
-            prob.instrument, prob.boundary_mode, prob.drift_discretization)
+            inst.kind, custom, prob.drift_discretization)
 
 
 def _duplicate(outcome):

@@ -66,7 +66,7 @@ def _sub_steps(prob: Problem, substep: bool = True, skip_zero_source: bool = Fal
     a, b, c = step_coefficients(grid, p, delta, prob.drift_discretization)
     rates = source_rates(p)
     zero_source = skip_zero_source and not np.array(rates).view(np.int64).any()
-    walls = boundary_curves(prob.instrument, grid, p, prob.boundary_mode)
+    walls = boundary_curves(prob.instrument, grid, p)
     row = payoff(prob.instrument, grid)
     for m in range(prob.grid.n_time):
         for j in range(1, nsub + 1):

@@ -43,8 +43,8 @@ PARAMETERS = {
     "Instrument": ["kind", "strike", "custom_payoff"],
     "ModelParams": ["r", "q_S", "gamma_S", "sigma", "s_F", "lambda_B", "lambda_C", "R_B",
                     "R_C", "C_S", "C_B", "C_C", "dt"],
-    "Problem": ["params", "variant", "grid", "instrument", "boundary_mode",
-                "drift_discretization", "condition2_c"],
+    "Problem": ["params", "variant", "grid", "instrument", "drift_discretization",
+                "condition2_c"],
     "SpaceGrid": ["nodes", "h", "h_plus", "h_minus"],
     "Surface": ["values", "grid", "taus"],
     "Surface.value_near_spot": ["self", "spot"],

@@ -67,13 +67,27 @@ def test_unknown_keys_are_rejected_with_their_path():
         cli.resolve_config({"grid": {"n": 10}})
 
 
-def test_bad_enums_are_rejected():
+def test_bad_enums_are_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError, match="variant"):
         cli.resolve_config({"variant": "BK_TC"})
-    with pytest.raises(ConfigError, match="boundary_mode"):
-        cli.resolve_config({"boundary_mode": "linear"})
     with pytest.raises(ConfigError, match="drift"):
         cli.resolve_config({"drift_discretization": "central"})
+    # boundary_mode has one value; the removed wall recipes exit 2 like any other
+    for mode in ("linear", "discounted_strike", "asymptotic"):
+        with pytest.raises(ConfigError, match="boundary_mode"):
+            cli.resolve_config({"boundary_mode": mode})
+        code, _ = run(tmp_path, "price", {"grid": FAST_GRID, "boundary_mode": mode}, name=mode)
+        assert code == 2
+        assert "error: boundary_mode" in capsys.readouterr().err
+
+
+def test_the_readme_config_example_resolves():
+    """The JSON config block of README.md is a config the CLI accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    resolved = cli.resolve_config(json.loads(blocks[0]))
+    assert cli.build_problem(resolved).instrument.strike == 8.0
 
 
 def test_sweep_section_is_validated():
@@ -149,6 +163,21 @@ def test_price_writes_surface_and_resolved_config(tmp_path, capsys):
     assert cli.resolve_config(data) == data
     header = (out / "surface.csv").read_text().splitlines()[0]
     assert header.startswith("x,")
+
+
+def test_a_run_reruns_from_its_own_resolved_config(tmp_path, capsys):
+    """``price --config <out>/resolved_config.json`` writes the same bytes and
+    prints the same line as the run that wrote that file."""
+    cfg = {"grid": FAST_GRID, "params": {"sigma": 0.15}, "instrument": {"strike": 9.0}}
+    code, first = run(tmp_path, "price", cfg, name="first")
+    printed = capsys.readouterr().out
+    assert code == 0
+    again = tmp_path / "again"
+    assert cli.main(["price", "--config", str(first / "resolved_config.json"),
+                     "--out", str(again)]) == 0
+    assert capsys.readouterr().out == printed
+    for name in ("surface.csv", "resolved_config.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_price_accepts_a_custom_payoff(tmp_path, capsys):

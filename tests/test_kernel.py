@@ -26,7 +26,7 @@ from xvapde import (
     turnover_factor,
 )
 from xvapde import _kernel, solver
-from xvapde.instrument import BOUNDARY_MODES, curve_values
+from xvapde.instrument import curve_values
 
 from helpers import STRIKE, X_MINUS, X_PLUS, desk_grid, desk_params, desk_problem
 
@@ -46,8 +46,8 @@ def _bits(outcome):
 def marches(draw):
     """Problems on one small grid, with the arguments of ``_solve_stack``.
 
-    Members mix nsub, variants, payoffs (custom ones too), wall recipes and
-    drift modes. Some are zero-source (recoveries of 1, s_F = 0), some have
+    Members mix nsub, variants, payoffs (custom ones too) and drift
+    modes. Some are zero-source (recoveries of 1, s_F = 0), some have
     a -0.0 rate (BKTC with lambda_B = 0 < r*C_B as well), some blow up in
     the source or at an overflowing wall, and some break condition 1; ties
     march pairs at their larger nsub."""
@@ -66,7 +66,6 @@ def marches(draw):
             R_C=draw(st.sampled_from((1.0, 0.4))), C_B=draw(st.floats(0.0, 0.01)),
             C_C=draw(st.floats(0.0, 0.01)),
             C_S=draw(st.floats(0.0, 0.9)) * sigma / turnover_factor(dt))
-        mode = draw(st.sampled_from(BOUNDARY_MODES))
         variant = draw(st.sampled_from(ModelVariant))
         trouble = draw(st.sampled_from((None, None, None, "-0.0", "source", "wall", "ill-posed")))
         if trouble == "-0.0":  # source rates (+0.0, -0.0, +0.0)
@@ -76,7 +75,6 @@ def marches(draw):
             overrides.update(s_F=1e200, lambda_B=1e200)
         elif trouble == "wall":  # exp(g_s*tau) overflows once tau passes about 0.9
             overrides.update(q_S=800.0)
-            mode = "model_consistent"
         elif trouble == "ill-posed":
             overrides.update(sigma=0.02, C_S=0.002)
         kind = draw(st.sampled_from(("call", "put", "custom")))
@@ -87,7 +85,6 @@ def marches(draw):
         members.append(Problem(
             params=desk_params(**overrides), variant=variant,
             grid=spec, instrument=Instrument(kind, STRIKE, custom),
-            boundary_mode=mode,
             drift_discretization=draw(st.sampled_from(("forward", "upwind")))))
     index = st.integers(0, len(members) - 1)
     ties = draw(st.lists(st.tuples(index, index), max_size=2))

@@ -38,7 +38,6 @@ from xvapde.model import negative_exposure_rate, positive_exposure_rate
 from xvapde.solver import DRIFT_MODES, nonlinear_source, source_rates, step, step_coefficients
 
 from xvapde import _kernel, model, solver
-from xvapde.instrument import BOUNDARY_MODES
 
 from helpers import (
     STRIKE,
@@ -62,12 +61,6 @@ PIN_TOL = 1e-9
 
 
 # --- Problem validation ---
-
-def test_rejects_unknown_boundary_mode():
-    with pytest.raises(ValueError, match="boundary_mode"):
-        Problem(params=desk_params(), variant=ModelVariant.BKTC, grid=desk_grid(),
-                instrument=Instrument("call", STRIKE), boundary_mode="linear")
-
 
 def test_rejects_unknown_drift_discretization():
     with pytest.raises(ValueError, match="drift_discretization"):
@@ -430,8 +423,8 @@ def test_surface_csv_round_trips_exactly(tmp_path):
 @st.composite
 def stacks(draw):
     """Two to five problems on one small grid, each with its own random
-    parameters, variant, payoff, drift mode and wall recipe, so members
-    land in different sub-step groups."""
+    parameters, variant, payoff and drift mode, so members land in
+    different sub-step groups."""
     spec = GridSpec(x_minus=X_MINUS, x_plus=X_PLUS, x_star=math.log(STRIKE),
                     alpha=(X_PLUS - X_MINUS) / draw(st.floats(2.0, 20.0)),
                     n_space=draw(st.integers(4, 40)), n_time=draw(st.integers(1, 8)),
@@ -450,7 +443,6 @@ def stacks(draw):
         members.append(Problem(
             params=params, variant=draw(st.sampled_from(ModelVariant)), grid=spec,
             instrument=Instrument(draw(st.sampled_from(("call", "put"))), STRIKE),
-            boundary_mode=draw(st.sampled_from(BOUNDARY_MODES)),
             drift_discretization=draw(st.sampled_from(("forward", "upwind")))))
     return members
 
@@ -834,13 +826,16 @@ def test_signed_zero_members_are_not_merged(both_marches, monkeypatch):
 
 
 def test_distinct_custom_payoff_instruments_are_not_merged(both_marches, monkeypatch):
-    """An Instrument counts by identity: two custom payoffs plan apart, one
-    object twice plans once."""
+    """An Instrument counts by value: custom payoffs that differ in one
+    sample plan apart, and equal samples in separate arrays plan once."""
     grid = desk_grid(n_space=40, n_time=10)
     spots = build_space_grid(grid).spots
-    low = Instrument("custom", STRIKE, custom_payoff=np.maximum(spots - STRIKE, 0.0))
-    high = Instrument("custom", STRIKE, custom_payoff=np.maximum(spots - 2 * STRIKE, 0.0))
-    members = [desk_problem(grid=grid, instrument=inst) for inst in (low, high, low)]
+    samples = np.maximum(spots - STRIKE, 0.0)
+    one_off = samples.copy()
+    one_off[20] += 0.5
+    members = [desk_problem(grid=grid, instrument=Instrument("custom", STRIKE, custom_payoff=g))
+               for g in (samples, one_off, samples.copy())]
+    assert solver._plan_key(members[0]) != solver._plan_key(members[1])
     calls = _count_plans_and_marches(monkeypatch)
     for _ in both_marches():
         calls.update(plan=0, _march=0)
@@ -849,6 +844,22 @@ def test_distinct_custom_payoff_instruments_are_not_merged(both_marches, monkeyp
         for prob, row in zip(members, rows):
             assert row.tobytes() == solve(prob).terminal.tobytes()
         assert not np.array_equal(rows[0], rows[1])
+
+
+def test_equal_instruments_built_apart_plan_once(both_marches, monkeypatch):
+    """The plan key reads the instrument's kind, strike and payoff, not the
+    object: two desk members and two RiskFree twins, each with its own
+    Instrument, plan and march twice, and each row is its lone solve."""
+    members = [desk_problem(), desk_problem(), desk_problem(variant=ModelVariant.RISK_FREE),
+               desk_problem(variant=ModelVariant.RISK_FREE, lambda_C=0.03)]
+    assert len({id(m.instrument) for m in members}) == 4
+    calls = _count_plans_and_marches(monkeypatch)
+    for _ in both_marches():
+        calls.update(plan=0, _march=0)
+        rows = solve_stack(members)
+        assert calls == {"plan": 2, "_march": 2}
+        for prob, row in zip(members, rows):
+            assert row.tobytes() == solve(prob).terminal.tobytes()
 
 
 @pytest.mark.parametrize("time_index", [-1, None])
