@@ -9,10 +9,20 @@ Outputs are deterministic byte for byte.
 
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":
+    # The CLI program runs numpy's OpenBLAS on one thread unless its caller
+    # set a count: the engine's only BLAS calls are 4x4 solves, and idle
+    # pool workers spin at start-up. This must run before numpy loads, and
+    # only here: importing the module leaves the environment alone.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +265,13 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one ``warning: <message>`` line on stderr, with no path,
+    line number or source line, so the bytes do not depend on where the
+    package lives or on the line that raised it."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="xvapde",
@@ -266,6 +283,8 @@ def main(argv=None) -> int:
         s.add_argument("--config", default=None, help="JSON scenario (defaults used if omitted)")
         s.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
+    shown = warnings.showwarning
+    warnings.showwarning = _show_warning
     try:
         resolved = resolve_config(_load_config(args.config))
         out_dir = Path(args.out)
@@ -277,6 +296,8 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

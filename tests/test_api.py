@@ -5,6 +5,10 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import xvapde
@@ -72,6 +76,15 @@ PARAMETERS = {
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
+def fresh(script: str):
+    """Run ``script`` in a new interpreter on this source tree; the JSON of
+    its last stdout line. The test session has loaded the package already."""
+    src = str(Path(xvapde.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def test_top_level_is_exactly_the_public_surface():
     assert sorted(xvapde.__all__) == PUBLIC
     for name in PUBLIC:
@@ -123,3 +136,39 @@ def test_every_package_attribute_the_workloads_read_exists():
     assert {"Problem", "solve", "cva_profile", "greeks_report", "sweep"} <= names
     for name in sorted(names):
         assert hasattr(xvapde, name), name
+
+
+def test_import_loads_no_numpy_and_leaves_the_environment():
+    loaded, same = fresh(
+        "import json, os, sys\n"
+        "before = dict(os.environ)\n"
+        "import xvapde\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'),\n"
+        "                  dict(os.environ) == before]))\n")
+    assert loaded == []
+    assert same
+
+
+def test_importing_the_cli_leaves_the_environment():
+    """The CLI's one-thread BLAS default is set only when it runs as a program."""
+    assert fresh("import json, os\n"
+                 "before = dict(os.environ)\n"
+                 "import xvapde.cli\n"
+                 "print(json.dumps(dict(os.environ) == before))\n")
+
+
+def test_the_first_public_read_binds_every_public_name():
+    before, listed, after, foreign = fresh(
+        "import importlib, json, xvapde\n"
+        "names = xvapde.__all__\n"
+        "before = [n for n in names if n in vars(xvapde)]\n"
+        "listed = [n for n in names if n not in dir(xvapde)]\n"
+        "xvapde.solve\n"
+        "after = [n for n in names if n not in vars(xvapde)]\n"
+        "foreign = [n for n in names if getattr(importlib.import_module(\n"
+        "    vars(xvapde)[n].__module__), n) is not vars(xvapde)[n]]\n"
+        "print(json.dumps([before, listed, after, foreign]))\n")
+    assert before == []
+    assert listed == []
+    assert after == []
+    assert foreign == []

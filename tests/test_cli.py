@@ -4,8 +4,10 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +244,74 @@ def test_greeks_on_a_three_node_grid_exits_1_naming_the_need(tmp_path):
     assert done.stderr == ("error: InvalidSpec: delta and gamma need at least 4 grid nodes "
                            "(n_space >= 3), got 3\n")
     assert not (tmp_path / "out" / "greeks.csv").exists()
+
+
+def test_warning_lines_do_not_depend_on_where_the_package_lives(tmp_path):
+    """A warning config run from two copies of the package prints the same
+    stderr bytes: one ``warning: <message>`` line per warning, with no path,
+    line number or quoted source line."""
+    src = Path(cli.__file__).resolve().parent
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"C_C": 0.1}, "grid": {"n_space": 20, "n_time": 30}}))
+    runs = []
+    for copy in ("a", "b/deeper"):
+        where = tmp_path / copy / "src"
+        shutil.copytree(src, where / "xvapde", ignore=shutil.ignore_patterns("__pycache__"))
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "xvapde.cli", "greeks", "--config", str(cfg),
+             "--out", str(tmp_path / copy / "out")],
+            capture_output=True, env={**os.environ, "PYTHONPATH": str(where)}))
+    assert [done.returncode for done in runs] == [0, 0]
+    assert runs[0].stderr == runs[1].stderr
+    lines = runs[0].stderr.decode().splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("warning: non-monotone explicit step: ") for line in lines)
+
+
+def test_a_command_restores_the_warning_handler(tmp_path, capsys):
+    shown = warnings.showwarning
+    code, _ = run(tmp_path, "validate", {"grid": FAST_GRID})
+    assert code == 0
+    assert warnings.showwarning is shown
+
+
+# the CLI run as a program in a fresh interpreter, started by one of STARTS;
+# prints the exit code, the OpenBLAS thread count the process ended with and its threads
+AS_PROGRAM = (
+    "import json, os, runpy, sys\n"
+    "sys.argv = ['xvapde', *sys.argv[1:]]\n"
+    "try:\n"
+    "    {start}\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps([code, os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+    "                  len(os.listdir('/proc/self/task'))]))\n")
+STARTS = {
+    "python -m xvapde.cli": "runpy.run_module('xvapde.cli', run_name='__main__')",
+    # what the installed ``xvapde`` command's script runs
+    "xvapde": "from xvapde.__main__ import main; main()",
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("start", STARTS)
+@pytest.mark.parametrize("caller, expected", [(None, "1"), ("2", "2")])
+def test_the_program_defaults_to_one_blas_thread(tmp_path, start, caller, expected):
+    """Run as a program, the CLI sets OPENBLAS_NUM_THREADS=1 before numpy
+    loads, so the process holds no BLAS worker threads; a count the caller
+    set is kept."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    done = subprocess.run([sys.executable, "-c", AS_PROGRAM.format(start=STARTS[start]),
+                           "validate", "--out", str(tmp_path / "v")],
+                          capture_output=True, text=True, env=env, check=True)
+    code, threads, tasks = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert threads == expected
+    if caller is None:
+        assert tasks == 1
 
 
 def test_cva_writes_the_profile(tmp_path, capsys):
