@@ -6,7 +6,8 @@ under the system temporary directory when that one is not writable),
 named by a CRC of the source, the compiler, the flags and the machine, so
 a changed source builds anew. It returns None when no compiler, no build
 or no load works; the solver then marches each row in numpy, one sub-step
-at a time (``solver._march_numpy``), which gives the same bits.
+at a time (``solver._march_numpy``), which gives the same bits. One call of
+its ``march_rows`` marches every row of a stack on one grid.
 
 The flags keep the order of operations: ``-ffp-contract=off`` stops the
 compiler from fusing a*b + c into one rounding, and there is no
@@ -31,7 +32,7 @@ _compiler = "cc"
 _cache_dir: str | None = None
 _loaded: list = []  # [library or None] once the first load was tried
 
-_P, _L, _D, _I64 = ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_int64
+_P, _L, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
 
 
 def library():
@@ -54,12 +55,20 @@ def _load():
         lib = ctypes.CDLL(path)
     except (OSError, AttributeError):  # AttributeError: no os.uname or os.getuid here
         return None
-    lib.march_row.restype = _I64
-    lib.march_row.argtypes = [_L, _L, _L, _L, _D, _D, _P, _P, _P, _P, _D, _D, _D, _L,
-                              _P, _P, _P, _P, _L, _L]
+    lib.march_rows.restype = None
+    lib.march_rows.argtypes = [_L, _L, _P, _L, _L, _D, _P, _P, _P, _P, _P, _P, _P, _P, _P,
+                               _P, _L, _L, _P]
     lib.walls_into.restype = None
     lib.walls_into.argtypes = [_P, _P, _L, _P]
     return lib
+
+
+def address(array) -> int:
+    """The address of a C-contiguous numpy array's data: ``array.ctypes.data``,
+    read for a writable array at a third of its cost."""
+    if not (array.nbytes and array.flags.writeable):
+        return array.ctypes.data
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
 def _directory() -> str:

@@ -1,5 +1,6 @@
-/* The explicit march of one row, in the order of operations of the numpy
- * march in solver.py, so that both give the same bits.
+/* The explicit march of a stack of rows, one row after another, each in
+ * the order of operations of the numpy march in solver.py, so that both
+ * give the same bits.
  *
  * Build with -O3 -ffp-contract=off and without -ffast-math: a contracted
  * a*b + c (an FMA) or a reassociated sum would move bits.
@@ -90,11 +91,11 @@ void walls_into(const double *walls, const double *taus, long n, double *out) {
  * kept[m - keep_from] for keep_from <= m < keep_from + keep_count.
  * Returns -1, or m*n + i when sub-step of level m left node i, the first
  * such node, non-finite; the march stops there. */
-int64_t march_row(long n, long nsub, long first, long last, double dtau, double delta,
-                  const double *a, const double *b, const double *c, const double *h,
-                  double pos_rate, double neg_rate, double cost_rate, long has_source,
-                  const double *walls, double *x, double *y, double *kept,
-                  long keep_from, long keep_count) {
+static int64_t march_row(long n, long nsub, long first, long last, double dtau,
+                         double delta, const double *a, const double *b, const double *c,
+                         const double *h, double pos_rate, double neg_rate, double cost_rate,
+                         long has_source, const double *walls, double *x, double *y,
+                         double *kept, long keep_from, long keep_count) {
     for (long m = first;; m++) {
         if (m >= keep_from && m < keep_from + keep_count)
             memcpy(kept + (m - keep_from) * n, x, n * sizeof *x);
@@ -118,5 +119,28 @@ int64_t march_row(long n, long nsub, long first, long last, double dtau, double 
             x = y;
             y = t;
         }
+    }
+}
+
+/* March the rows rows of a stack, each of n nodes, one after another: row r
+ * is march_row with nsub[r], delta[r], the r-th n - 2 weights of a, b and c,
+ * the r-th three rates of rates, the r-th eight coefficients of walls, the
+ * row x + r*n and the kept levels kept + r*keep_count*n. A row whose three
+ * rates are all +0.0, bit for bit, marches without its source. The spacings
+ * h, the levels and dtau are shared; y is scratch of n values. bad[r] is
+ * what march_row returns for row r. */
+void march_rows(long rows, long n, const int64_t *nsub, long first, long last, double dtau,
+                const double *delta, const double *a, const double *b, const double *c,
+                const double *h, const double *rates, const double *walls, double *x,
+                double *y, double *kept, long keep_from, long keep_count, int64_t *bad) {
+    for (long r = 0; r < rows; r++) {
+        const double *rate = rates + 3 * r;
+        uint64_t bits[3];
+        memcpy(bits, rate, sizeof bits);
+        long w = r * (n - 2);
+        bad[r] = march_row(n, nsub[r], first, last, dtau, delta[r], a + w, b + w, c + w, h,
+                           rate[0], rate[1], rate[2], (bits[0] | bits[1] | bits[2]) != 0,
+                           walls + 8 * r, x + r * n, y, kept + r * keep_count * n, keep_from,
+                           keep_count);
     }
 }

@@ -90,13 +90,12 @@ def build_space_grid(spec: GridSpec) -> SpaceGrid:
     # asinh/sinh round-trip is exact to ~1 ulp; snap the walls anyway
     nodes[0] = spec.x_minus
     nodes[-1] = spec.x_plus
-    h = np.diff(nodes)
-    if not np.all(h > 0.0):
+    h = nodes[1:] - nodes[:-1]
+    if not (h > 0.0).all():
         raise InvalidSpec("grid nodes are not strictly increasing")
     hb, hf = h[:-1], h[1:]
-    h_plus = 2.0 / (hf * (hb + hf))
-    h_minus = 2.0 / (hb * (hb + hf))
-    return SpaceGrid(nodes=nodes, h=h, h_plus=h_plus, h_minus=h_minus)
+    span = hb + hf
+    return SpaceGrid(nodes=nodes, h=h, h_plus=2.0 / (hf * span), h_minus=2.0 / (hb * span))
 
 
 def build_time_grid(spec: GridSpec) -> np.ndarray:
@@ -117,6 +116,13 @@ def stability_bound(grid: SpaceGrid, p: ModelParams) -> float:
     (no decay, no diffusion, no drift).
     """
     sig2, drift = variance_and_drift(p)
-    denom = 0.5 * sig2 * (grid.h_plus + grid.h_minus) + abs(drift) / grid.h[1:] + p.r
-    worst = float(np.max(denom))
-    return 1.0 / worst if worst > 0.0 else math.inf
+    return _stability_bounds(grid, sig2, drift, p.r)[0]
+
+
+def _stability_bounds(grid: SpaceGrid, sig2, drift, r) -> list[float]:
+    """``stability_bound`` of scalars, or of per-member (K, 1) columns of
+    sig2, drift and r, one bound per member; each element is computed as
+    the scalar formula computes it."""
+    denom = 0.5 * sig2 * (grid.h_plus + grid.h_minus) + abs(drift) / grid.h[1:] + r
+    return [1.0 / worst if worst > 0.0 else math.inf
+            for worst in denom.max(axis=-1).reshape(-1).tolist()]

@@ -19,21 +19,24 @@ Whenever the reporting step exceeds the grid's ``stability_bound``, the
 step is split into equal sub-steps automatically; passing substep=False
 disables the guard (useful only to demonstrate the blow-up).
 
-A solve has two parts. ``plan`` does everything that does not change with
+A solve has two parts. The plan does everything that does not change with
 tau once: the condition checks and warnings, the grid, the sub-step count
 and size, the weights (a, b, c), the three source rates and the wall
-curves. The march then only does arithmetic, one row at a time: ``solve``
-marches one problem, ``solve_stack`` and ``solve_pairs`` many, sharing
-their grid builds. Members of a stack that would plan to the same bits
-(the RiskFree twins of a credit or cost sweep) plan once and, at one
-nsub, march once.
+curves. The march then only does arithmetic. Every solve is a stack:
+``solve`` is a stack of one, ``solve_stack`` and ``solve_pairs`` take
+many. ``_plan_stack`` plans all the distinct members of a stack that share
+a grid in one pass of column-broadcast numpy, one row per member, with
+each element computed as a lone plan computes it; ``plan`` is its
+one-member case. Members that would plan to the same bits (the RiskFree
+twins of a credit or cost sweep) plan once and, at one nsub, march once.
 
 The march is a compiled C kernel (``_march.c``, built on first use and
-loaded with ctypes; see ``_kernel``): one call marches one row through
-every sub-step of every level, with the walls and a finiteness check after
-every sub-step, so its NonFiniteValue names the first non-finite sub-step
-and node directly. Where no compiler is found, ``_march_numpy`` runs the
-same march in numpy, one sub-step at a time. It is also the reference the
+loaded with ctypes; see ``_kernel``): one call marches every row of a
+stack on one grid, each through every sub-step of every level, with the
+walls and a finiteness check after every sub-step, so a row's
+NonFiniteValue names its first non-finite sub-step and node directly.
+Where no compiler is found, ``_march_numpy`` runs the same march in
+numpy, one row and one sub-step at a time. It is also the reference the
 kernel is tested against, bit for bit: the kernel keeps its order of
 operations, and its walls call the libm ``exp`` that ``math.exp`` calls.
 
@@ -50,13 +53,14 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .csvio import write_rows
-from .errors import EngineError, ModelAssumptionWarning, NonFiniteValue
-from .grid import GridSpec, SpaceGrid, build_space_grid, build_time_grid, stability_bound
+from .errors import EngineError, MissingPayoff, ModelAssumptionWarning, NonFiniteValue
+from .grid import GridSpec, SpaceGrid, _stability_bounds, build_space_grid, build_time_grid
 from .instrument import Instrument, boundary_curves, curve_values, payoff
 from .model import (
     ConditionReport,
@@ -65,7 +69,6 @@ from .model import (
     check_condition2,
     check_condition4,
     cpty_cost_rate,
-    modified_variance,
     negative_exposure_rate,
     positive_exposure_rate,
     validity_checks,
@@ -145,21 +148,35 @@ def step_coefficients(grid: SpaceGrid, p: ModelParams, dtau: float,
     of the drift.
     """
     sig2, drift = variance_and_drift(p)
+    return _coefficients(grid, sig2, drift, p.r, dtau,
+                         drift_discretization == "forward" or drift >= 0.0)
+
+
+def _columns(rows: list[tuple]):
+    """K per-member tuples of floats as one (K, 1) column per field, the
+    operands of a broadcast plan; a lone member's fields stay floats, which
+    numpy applies faster."""
+    if len(rows) == 1:
+        return rows[0]
+    return np.array(rows).T[:, :, None]
+
+
+def _coefficients(grid: SpaceGrid, sig2, drift, r, dtau, forward):
+    """``step_coefficients`` of scalars, or of per-member (K, 1) columns of
+    sig2, drift, r and dtau, one row of weights per member; each element is
+    computed as the scalar formula computes it. ``forward`` is True where
+    every member differences its drift forward, else whether each does: a
+    bool, or a (K, 1) column of them."""
     diff = 0.5 * sig2 * dtau
-    hf = grid.h[1:]   # forward spacing at interior nodes
-    hb = grid.h[:-1]  # backward spacing
     a = diff * grid.h_minus
     c = diff * grid.h_plus
-    b = 1.0 - diff * (grid.h_plus + grid.h_minus) - p.r * dtau
-    if drift_discretization == "forward" or drift >= 0.0:
-        adv = dtau * drift / hf
-        c = c + adv
-        b = b - adv
-    else:
-        adv = dtau * (-drift) / hb
-        a = a + adv
-        b = b - adv
-    return a, b, c
+    b = 1.0 - diff * (grid.h_plus + grid.h_minus) - r * dtau
+    adv = dtau * drift / grid.h[1:]  # forward spacing at interior nodes
+    if forward is True:
+        return a, b - adv, c + adv
+    back = dtau * -drift / grid.h[:-1]  # backward spacing
+    return (np.where(forward, a, a + back), b - np.where(forward, adv, back),
+            np.where(forward, c + adv, c))
 
 
 def source_rates(p: ModelParams) -> tuple[float, float, float]:
@@ -204,31 +221,100 @@ class Plan:
     start: np.ndarray
 
 
-def _check_conditions(prob: Problem, p: ModelParams) -> None:
-    """Condition 1 raises; conditions 2 and 4 and lambda_B < r*C_B only warn.
+class _Stack(NamedTuple):
+    """The plans of the R rows of a stack on one grid: row r holds what a
+    ``Plan`` holds, with nsub and delta (R,), the weights a, b and c
+    (R, N-1), the rates (R, 3), the walls (R, 2, 4) and the start rows
+    (R, N+1)."""
+
+    grid: SpaceGrid
+    dtau: float
+    nsub: np.ndarray
+    delta: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    rates: np.ndarray
+    walls: np.ndarray
+    start: np.ndarray
+
+    def plan(self, r: int) -> Plan:
+        """Row r as a ``Plan``, its rates and walls as Python floats."""
+        lower, upper = self.walls[r].tolist()
+        return Plan(grid=self.grid, dtau=self.dtau, nsub=int(self.nsub[r]),
+                    delta=float(self.delta[r]), a=self.a[r], b=self.b[r], c=self.c[r],
+                    rates=tuple(self.rates[r].tolist()), walls=(tuple(lower), tuple(upper)),
+                    start=self.start[r])
+
+
+class _Group:
+    """The distinct members of a stack on one grid while they are planned:
+    ``rows`` maps each row they march or check on, a (member, nsub), to its
+    index."""
+
+    __slots__ = ("grid", "dtau", "members", "rows", "stack")
+
+    def __init__(self, grid: SpaceGrid, dtau: float):
+        self.grid, self.dtau, self.members, self.rows = grid, dtau, [], {}
+        self.stack = None  # the index of its _Stack, once built
+
+
+class _Member(NamedTuple):
+    """What the plan of one distinct member of a stack reads, once its
+    checks pass: walls and start are None when its payoff failed."""
+
+    index: int
+    scalars: tuple[float, float, float]  # sig2, drift, r
+    forward: bool  # whether its drift is differenced forward
+    rates: tuple[float, float, float]
+    walls: tuple | None
+    start: np.ndarray | None
+    advisories: list[str]
+
+
+class _Counts:
+    """The engine's work since the last ``reset``, added up from what the
+    plans hold, once per planned stack and once per marched grid."""
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.members = 0       # members asked for
+        self.plans = 0         # members planned: one per distinct plan key that passes its checks
+        self.rows = 0          # rows marched
+        self.substeps = 0      # nsub times the levels marched, summed over the rows
+        self.node_updates = 0  # sub-steps times interior nodes, summed over the rows
+        self.grids = 0         # space grids built; not those a caller passes in
+
+
+_counts = _Counts()
+
+
+def _advisories(prob: Problem, p: ModelParams) -> list[str]:
+    """The warnings of conditions 2 and 4 and of lambda_B < r*C_B.
 
     The condition reports, and the text behind them, are built only when
     condition 2 or 4 fails.
     """
-    modified_variance(p)  # condition 1, hard
+    notes = []
     if negative_exposure_rate(p) < 0.0:
-        warnings.warn(
-            "lambda_B < r*C_B: the condition2 bracket assumes a nonnegative "
-            "negative-exposure rate", ModelAssumptionWarning, stacklevel=3)
+        notes.append("lambda_B < r*C_B: the condition2 bracket assumes a nonnegative "
+                     "negative-exposure rate")
     if (check_condition2(p, prob.condition2_c)
             and check_condition4(p, math.exp(prob.grid.x_plus))):
-        return
-    for rep in prob.validity_checks():
-        if rep.name in _ADVISORY and not rep.passed:
-            warnings.warn(
-                f"{rep.name} failed: {rep.detail}; the {_ADVISORY[rep.name]} argument "
-                "behind the scheme no longer applies", ModelAssumptionWarning, stacklevel=3)
+        return notes
+    return notes + [f"{rep.name} failed: {rep.detail}; the {_ADVISORY[rep.name]} argument "
+                    "behind the scheme no longer applies"
+                    for rep in prob.validity_checks()
+                    if rep.name in _ADVISORY and not rep.passed]
 
 
-def _check_monotone(grid: SpaceGrid, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                    delta: float, rates: tuple[float, float, float]) -> None:
-    """Warn when a weight is negative once the source is counted: the step
-    is then not monotone.
+def _check_monotone(grid: SpaceGrid, a: np.ndarray, b: np.ndarray, c: np.ndarray, delta,
+                    rates: list[tuple[float, float, float]]) -> list[list[str]]:
+    """The warnings of each member whose step is not monotone once the
+    source is counted: a, b and c hold K rows of weights, delta is a (K, 1)
+    column (a float when K is 1) and rates the K triples of source rates.
 
     a and c only go negative when the forward-differenced drift is negative
     and outruns the diffusion. The cost sink differences U forward, so where
@@ -239,16 +325,27 @@ def _check_monotone(grid: SpaceGrid, a: np.ndarray, b: np.ndarray, c: np.ndarray
     the cost sink also weigh on V[i], and b - delta*(max(rho+, rho-, 0) +
     kappa/h_f) can still go negative.
     """
-    sink = delta * rates[2] / grid.h[1:]
-    centre = b - delta * (max(rates[0], rates[1], 0.0) + rates[2] / grid.h[1:])
+    top, cost = _columns([(max(pos, neg, 0.0), cost) for pos, neg, cost in rates])
+    upper = c - delta * cost / grid.h[1:]
+    centre = b - delta * (top + cost / grid.h[1:])
     # the common case: no weight negative (a NaN weight reads False here too)
-    if all(w.min() >= 0.0 for w in (a, c, c - sink, centre)):
-        return
+    passed = np.minimum(np.minimum(a, c), np.minimum(upper, centre)).min(axis=1) >= 0.0
+    return [[] if ok else _monotone_messages(grid, a[k], c[k], upper[k], centre[k])
+            for k, ok in enumerate(passed.tolist())]
+
+
+def _monotone_messages(grid: SpaceGrid, a: np.ndarray, c: np.ndarray, upper: np.ndarray,
+                       centre: np.ndarray) -> list[str]:
+    """One member's warnings: for each check, its first node with a
+    negative weight and the first of its weights negative there. ``upper``
+    is c - delta*kappa/h_f and ``centre`` b - delta*(max(rho+, rho-, 0) +
+    kappa/h_f)."""
+    messages = []
     for weights, consequence in (
             ({"a": a, "c": c}, ", so prices may leave their payoff's bounds; "
              "drift_discretization='upwind' keeps a and c nonnegative"),
             # NaN where c < 0, which the check above reports
-            ({"c - delta*kappa/h_f": np.where(c >= 0.0, c - sink, np.nan)},
+            ({"c - delta*kappa/h_f": np.where(c >= 0.0, upper, np.nan)},
              ": the counterparty-bond cost sink kappa*|U_x| outweighs the upper neighbour's "
              "weight where U_x > 0, so a call price may turn negative"),
             ({"b - delta*(max(rho+, rho-, 0) + kappa/h_f)": centre},
@@ -258,10 +355,10 @@ def _check_monotone(grid: SpaceGrid, a: np.ndarray, b: np.ndarray, c: np.ndarray
         if bad.size:  # the first node, and the first of the weights negative there
             k = int(bad[0])
             name = next(n for n, w in weights.items() if w[k] < 0.0)
-            warnings.warn(
+            messages.append(
                 f"non-monotone explicit step: {name} = {weights[name][k]:.6g} < 0 at node "
-                f"{k + 1} (S = {grid.spots[k + 1]:.6g}){consequence}",
-                ModelAssumptionWarning, stacklevel=3)
+                f"{k + 1} (S = {grid.spots[k + 1]:.6g}){consequence}")
+    return messages
 
 
 def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> Plan:
@@ -270,33 +367,135 @@ def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> 
     Splits each reporting step into ceil(dtau / stability_bound) equal
     sub-steps unless substep is False. ``grid`` may pass in the already
     built grid of ``prob.grid``. Raises WellPosednessViolation when the
-    variant-filtered parameters break condition 1.
+    variant-filtered parameters break condition 1. The one-member case of
+    ``_plan_stack``.
     """
-    p = prob.effective_params()
-    _check_conditions(prob, p)
-    if grid is None:
-        grid = build_space_grid(prob.grid)
-    dtau = prob.grid.dtau if prob.grid.n_time else 0.0
-    nsub = 1
-    if substep:
-        bound = stability_bound(grid, p)
-        if math.isfinite(bound):
-            nsub = max(1, math.ceil(dtau / bound))
-    delta = dtau / nsub
-    a, b, c = step_coefficients(grid, p, delta, prob.drift_discretization)
-    rates = source_rates(p)
-    _check_monotone(grid, a, b, c, delta, rates)
-    return Plan(grid=grid, dtau=dtau, nsub=nsub, delta=delta, a=a, b=b, c=c, rates=rates,
-                walls=boundary_curves(prob.instrument, grid, p),
-                start=payoff(prob.instrument, grid))
+    return _plan_one(prob, substep, None if grid is None else {prob.grid: grid}).plan(0)
 
 
-def _at_nsub(pl: Plan, prob: Problem, nsub: int) -> Plan:
-    """The plan of ``prob`` with its levels split into ``nsub`` sub-steps."""
-    delta = pl.dtau / nsub
-    a, b, c = step_coefficients(pl.grid, prob.effective_params(), delta,
-                                prob.drift_discretization)
-    return replace(pl, nsub=nsub, delta=delta, a=a, b=b, c=c)
+def _plan_one(prob: Problem, substep: bool = True, grids=None) -> _Stack:
+    """The one-row stack of ``prob``, or the error that stopped its plan."""
+    out, _, stacks = _plan_stack([prob], substep, (), grids)
+    return stacks[0] if out[0] is None else solved(out[0])
+
+
+def _plan_stack(problems, substep: bool = True, ties=(),
+                grids: dict[GridSpec, SpaceGrid] | None = None):
+    """Check and plan the distinct members of a stack, each grid's members
+    in one broadcast pass.
+
+    Members with equal ``_plan_key`` plan once. Each distinct member is
+    checked alone, so one that breaks condition 1, or whose grid or payoff
+    cannot be built, fails alone. Then, grid by grid, one pass takes every
+    member's stability bound and nsub; ``ties`` (tuples of member indices)
+    raise tied members to the largest nsub among them, since a larger nsub
+    only shrinks the sub-step; and a second pass builds the weights and
+    the monotone check of every distinct (member, nsub) row. Each element
+    is computed as a lone plan computes it. The warnings come last, member
+    by member in stack order: each member's condition warnings, then its
+    monotone ones, taken at its own nsub as its lone plan takes them.
+
+    Returns (out, rows, stacks): out[i] is member i's planning error or
+    None, stacks the ``_Stack`` of the rows on each grid, and rows[i] the
+    (stack, row) indices that member i marches on, or None. ``grids`` holds
+    grids already built, by spec; the planner adds the ones it builds.
+    """
+    grids = {} if grids is None else grids
+    many = len(problems) > 1
+    out: list = [None] * len(problems)
+    heads: dict = {}  # plan key -> the member that plans it
+    head_of = []
+    groups: dict[SpaceGrid, _Group] = {}  # by grid object, which hashes faster than its spec
+    group_of: dict[int, _Group] = {}  # the group of each member that passed its checks
+    checked: dict[int, _Member] = {}  # the members that passed their checks
+    for i, prob in enumerate(problems):
+        p = prob.effective_params()
+        head = heads.setdefault(_plan_key(prob, p), i) if many else i
+        head_of.append(head)
+        if head != i:
+            if out[head] is not None:
+                out[i] = _duplicate(out[head])
+            continue
+        try:
+            grid = grids.get(prob.grid)
+            if grid is None:
+                grid = grids[prob.grid] = build_space_grid(prob.grid)
+                _counts.grids += 1
+            sig2, drift = variance_and_drift(p)  # condition 1 raises here
+        except EngineError as exc:
+            out[i] = exc
+            continue
+        group = groups.get(grid)
+        if group is None:
+            group = groups[grid] = _Group(grid, prob.grid.dtau if prob.grid.n_time else 0.0)
+        advisories = _advisories(prob, p)
+        try:
+            walls, start = boundary_curves(prob.instrument, grid, p), payoff(prob.instrument, grid)
+            _counts.plans += 1
+        except MissingPayoff as exc:  # after the checks that warn, as in a lone plan
+            out[i] = exc
+            walls = start = None
+        checked[i] = m = _Member(i, (sig2, drift, p.r),
+                                 prob.drift_discretization == "forward" or drift >= 0.0,
+                                 source_rates(p), walls, start, advisories)
+        group.members.append(m)
+        group_of[i] = group
+    _counts.members += len(problems)
+
+    own = {}  # member -> its nsub alone
+    for group in groups.values():
+        if not substep:
+            own.update((m.index, 1) for m in group.members)
+            continue
+        bounds = _stability_bounds(group.grid, *_columns([m.scalars for m in group.members]))
+        for m, bound in zip(group.members, bounds):
+            own[m.index] = max(1, math.ceil(group.dtau / bound)) if math.isfinite(bound) else 1
+    nsub = {i: own[h] for i, h in enumerate(head_of) if h in own and out[h] is None}
+    for tie in ties:
+        tied = [i for i in tie if i in nsub]
+        top = max((nsub[i] for i in tied), default=1)
+        for i in tied:
+            nsub[i] = top
+
+    # each grid's rows: the marched ones in member order, then any that only
+    # a monotone check at a member's own nsub needs
+    rows: list = [None] * len(problems)
+    for i, n in nsub.items():
+        layout = group_of[head_of[i]].rows
+        rows[i] = layout.setdefault((head_of[i], n), len(layout))
+    stacks, monotone = [], {}
+    for group in groups.values():
+        layout = group.rows
+        marched = len(layout)
+        for m in group.members:
+            layout.setdefault((m.index, own[m.index]), len(layout))
+        members = [checked[h] for h, _ in layout]
+        delta = [group.dtau / n for _, n in layout]
+        sig2, drift, r, dt = _columns([m.scalars + (d,) for m, d in zip(members, delta)])
+        forward = [m.forward for m in members]
+        a, b, c = [w.reshape(len(members), -1) for w in _coefficients(
+            group.grid, sig2, drift, r, dt, True if all(forward) else np.array(forward)[:, None])]
+        rates = [m.rates for m in members]
+        weights = (a, b, c, dt, rates)
+        if len(layout) != len(group.members):  # check each member at its own nsub
+            check = [layout[m.index, own[m.index]] for m in group.members]
+            weights = (a[check], b[check], c[check], dt[check], [rates[k] for k in check])
+        monotone.update(zip([m.index for m in group.members],
+                            _check_monotone(group.grid, *weights)))
+        if marched:
+            members = members[:marched]
+            group.stack = len(stacks)
+            stacks.append(_Stack(
+                grid=group.grid, dtau=group.dtau, nsub=np.array([n for _, n in layout][:marched]),
+                delta=np.array(delta[:marched]), a=a[:marched], b=b[:marched], c=c[:marched],
+                rates=np.array(rates[:marched]), walls=np.array([m.walls for m in members]),
+                start=np.array([m.start for m in members])))
+    for i in nsub:
+        rows[i] = group_of[head_of[i]].stack, rows[i]
+    for m in checked.values():
+        for message in m.advisories + monotone[m.index]:
+            warnings.warn(message, ModelAssumptionWarning, stacklevel=3)
+    return out, rows, stacks
 
 
 def _has_source(rates) -> bool:
@@ -309,49 +508,59 @@ def _has_source(rates) -> bool:
     return bool(np.asarray(rates, dtype=float).view(np.int64).any())
 
 
-def _march(pl: Plan, row: np.ndarray, first: int, last: int, keep: int | None):
-    """March one row from level ``first`` to level ``last``.
+def _march(st: _Stack, rows: np.ndarray, first: int, last: int, keep: int | None) -> list:
+    """March row r of ``st`` from ``rows[r]`` at level ``first`` to level
+    ``last``, for every row.
 
     ``keep`` is the level to return, or None for every level from ``first``
-    on. The outcome is the kept values, or the NonFiniteValue that stopped
-    the march. The row marches in the compiled kernel; where that cannot be
-    built, in numpy (``_march_numpy``), which gives the same bits.
+    on. One outcome per row: its kept values, or the NonFiniteValue that
+    stopped its march. The rows march in one call of the compiled kernel;
+    where that cannot be built, one by one in numpy (``_march_numpy``),
+    which gives the same bits.
     """
     from . import _kernel  # built or loaded on the first march, not at import
 
+    substeps = sum(st.nsub.tolist()) * (last - first)
+    _counts.rows += len(st.nsub)
+    _counts.substeps += substeps
+    _counts.node_updates += substeps * st.a.shape[1]
     lib = _kernel.library()
     if lib is None:
-        return _march_numpy(pl, row, first, last, keep)
-    return _march_row(lib, pl, row, first, last, keep)
+        return [_march_numpy(st.plan(r), row, first, last, keep) for r, row in enumerate(rows)]
+    return _march_rows(lib, st, rows, first, last, keep)
 
 
-def _march_row(lib, pl: Plan, row: np.ndarray, first: int, last: int, keep: int | None):
-    """One row's march in ``_march.c``, one call for every sub-step of every
-    level, in the order of operations of ``_march_numpy``; the kernel
-    checks finiteness after every sub-step and names the first non-finite
-    node itself."""
-    width = len(row)
-    x, y = np.array(row, dtype=float), np.empty(width)
-    a, b, c, h = (np.ascontiguousarray(v, dtype=float)
-                  for v in (pl.a, pl.b, pl.c, pl.grid.h[1:]))
-    walls = np.array(pl.walls, dtype=float)
+def _march_rows(lib, st: _Stack, rows: np.ndarray, first: int, last: int, keep: int | None):
+    """Every row's march in one call of ``_march.c``'s ``march_rows``, each
+    row in the order of operations of ``_march_numpy``, and without its
+    source where its rates are all +0.0, the rule of ``_has_source``; the
+    kernel checks finiteness after every sub-step and names each row's
+    first non-finite node itself."""
+    from . import _kernel
+
+    x = np.array(rows, dtype=float)
+    n_rows, width = x.shape
+    nsub = np.ascontiguousarray(st.nsub, dtype=np.int64)
+    delta, a, b, c, h, rates, walls = (np.ascontiguousarray(v, dtype=float) for v in (
+        st.delta, st.a, st.b, st.c, st.grid.h[1:], st.rates, st.walls))
     start, count = (first, last - first + 1) if keep is None else (keep, 1)
-    if (x.shape != (width,) or walls.shape != (2, 4)
-            or any(v.shape != (width - 2,) for v in (a, b, c, h))
+    if (nsub.shape != (n_rows,) or delta.shape != (n_rows,) or h.shape != (width - 2,)
+            or a.shape != (n_rows, width - 2) or b.shape != a.shape or c.shape != a.shape
+            or rates.shape != (n_rows, 3) or walls.shape != (n_rows, 2, 4)
             or not first <= start <= start + count - 1 <= last):
-        raise ValueError("the row, its weights, spacings, walls and levels do not fit")
-    kept = np.empty((count, width))
-    bad = lib.march_row(width, pl.nsub, first, last, pl.dtau, pl.delta, a.ctypes.data,
-                        b.ctypes.data, c.ctypes.data, h.ctypes.data, *pl.rates,
-                        _has_source(pl.rates), walls.ctypes.data, x.ctypes.data,
-                        y.ctypes.data, kept.ctypes.data, start, count)
-    if bad >= 0:
-        return NonFiniteValue(*divmod(bad, width))
-    return kept if keep is None else kept[0]
+        raise ValueError("the rows, their weights, spacings, walls and levels do not fit")
+    y, kept = np.empty(width), np.empty((n_rows, count, width))
+    bad = np.empty(n_rows, dtype=np.int64)
+    at = _kernel.address
+    lib.march_rows(n_rows, width, at(nsub), first, last, st.dtau, at(delta), at(a), at(b),
+                   at(c), at(h), at(rates), at(walls), at(x), at(y), at(kept), start, count,
+                   at(bad))
+    return [NonFiniteValue(*divmod(e, width)) if e >= 0 else kept[r] if keep is None
+            else kept[r, 0] for r, e in enumerate(bad.tolist())]
 
 
 def _march_numpy(pl: Plan, row: np.ndarray, first: int, last: int, keep: int | None):
-    """``_march`` in numpy, one sub-step at a time: a*x[i-1] + b*x[i] +
+    """One row of ``_march`` in numpy, one sub-step at a time: a*x[i-1] + b*x[i] +
     c*x[i+1], less the source times delta unless the row is zero-source
     (see ``_has_source``), then the walls of ``curve_values`` at the
     sub-step's tau, and a finiteness check that names the first non-finite
@@ -395,7 +604,8 @@ def step(row: np.ndarray, m: int, prob: Problem, substep: bool = True) -> np.nda
     One level of the same march ``solve`` runs. Raises NonFiniteValue at the
     first sub-step and node that stops being finite.
     """
-    return solved(_march(plan(prob, substep), row, m, m + 1, m + 1))
+    rows = np.array(row, dtype=float)[None]
+    return solved(_march(_plan_one(prob, substep), rows, m, m + 1, m + 1)[0])
 
 
 def solve(prob: Problem, substep: bool = True) -> Surface:
@@ -403,11 +613,11 @@ def solve(prob: Problem, substep: bool = True) -> Surface:
 
     Raises WellPosednessViolation when the variant-filtered parameters break
     condition 1; conditions 2 and 4 and a negative lambda_B - r*C_B only
-    emit ModelAssumptionWarning.
+    emit ModelAssumptionWarning. A stack of one.
     """
-    pl = plan(prob, substep)
-    values = solved(_march(pl, pl.start, 0, prob.grid.n_time, None))
-    return Surface(values=values, grid=pl.grid, taus=build_time_grid(prob.grid))
+    grids: dict[GridSpec, SpaceGrid] = {}
+    values = solved(_solve_stack([prob], None, substep, grids=grids)[0])
+    return Surface(values=values, grid=grids[prob.grid], taus=build_time_grid(prob.grid))
 
 
 def solve_stack(problems, time_index: int | None = -1, substep: bool = True) -> list:
@@ -428,58 +638,39 @@ def _solve_stack(problems, time_index: int | None = -1, substep: bool = True,
                  ties=(), grids: dict[GridSpec, SpaceGrid] | None = None) -> list:
     """``solve_stack``, with ``ties``: tuples of member indices that march at
     the largest nsub among them, so a difference of two of them carries
-    one time-truncation error. A larger nsub only shrinks the sub-step.
-    ``grids`` holds grids the caller has already built, by spec; the stack
-    adds the ones it builds.
+    one time-truncation error. ``grids`` holds grids the caller has already
+    built, by spec; the stack adds the ones it builds.
 
-    Members with equal ``_plan_key`` plan once, and march once where they
-    also march at the same nsub; every other member of such a group gets
-    its own copy of that outcome (``_duplicate``).
+    ``_plan_stack`` plans the stack, and each grid's rows march in one
+    ``_march``. Members that plan to one row (equal ``_plan_key`` and
+    nsub) share its march; every member after the first gets its own copy
+    of that outcome (``_duplicate``).
     """
     if time_index is not None and problems:  # before any planning and its warnings
         levels = min(prob.grid.n_time + 1 for prob in problems)
         if not -levels <= time_index < levels:
             raise IndexError(f"time_index {time_index} is out of range for a grid of "
                              f"{levels} levels")
-    out: list = [None] * len(problems)
-    grids = {} if grids is None else grids
-    keys = [_plan_key(prob) for prob in problems]
-    planned: dict[tuple, int] = {}  # plan key -> the member that planned it
-    plans: dict[int, Plan] = {}
-    for i, prob in enumerate(problems):
-        first = planned.setdefault(keys[i], i)
-        if first in plans:
-            plans[i] = plans[first]
-        elif first != i:
-            out[i] = _duplicate(out[first])
-        else:
-            try:
-                if prob.grid not in grids:
-                    grids[prob.grid] = build_space_grid(prob.grid)
-                plans[i] = plan(prob, substep, grids[prob.grid])
-            except EngineError as exc:
-                out[i] = exc
-    for tie in ties:
-        tied = [i for i in tie if i in plans]
-        nsub = max((plans[i].nsub for i in tied), default=1)
-        for i in tied:
-            if plans[i].nsub < nsub:
-                plans[i] = _at_nsub(plans[i], problems[i], nsub)
-    marched: dict[tuple, int] = {}  # (plan key, nsub) -> the member that marched it
-    for i, pl in plans.items():
-        first = marched.setdefault((keys[i], pl.nsub), i)
-        if first != i:
-            out[i] = _duplicate(out[first])
+    out, rows, stacks = _plan_stack(problems, substep, ties, grids)
+    outcomes: list = [None] * len(stacks)
+    taken = set()
+    for i, row in enumerate(rows):
+        if row is None:
             continue
-        n_time = problems[i].grid.n_time
-        keep = None if time_index is None else range(n_time + 1)[time_index]
-        out[i] = _march(pl, pl.start, 0, n_time, keep)
+        k, r = row
+        if outcomes[k] is None:  # all the rows on one grid march in one call
+            n_time = problems[i].grid.n_time
+            keep = None if time_index is None else range(n_time + 1)[time_index]
+            outcomes[k] = _march(stacks[k], stacks[k].start, 0, n_time, keep)
+        out[i] = _duplicate(outcomes[k][r]) if row in taken else outcomes[k][r]
+        taken.add(row)
     return out
 
 
-def _plan_key(prob: Problem) -> tuple:
+def _plan_key(prob: Problem, p: ModelParams | None = None) -> tuple:
     """What ``plan`` reads of a problem: two problems with equal keys plan,
-    and at one nsub march, to the same bits.
+    and at one nsub march, to the same bits. ``p`` may pass in the
+    problem's variant-filtered parameters.
 
     Of the variant-filtered parameters, the plan reads r, q_S, gamma_S,
     sigma, dt and C_S, and the others only through the three source rates,
@@ -489,7 +680,7 @@ def _plan_key(prob: Problem) -> tuple:
     its kind, its strike and a custom payoff's float64 bytes and shape, so
     equal instruments built apart share a key.
     """
-    p = prob.effective_params()
+    p = prob.effective_params() if p is None else p
     inst = prob.instrument
     values = (p.r, p.q_S, p.gamma_S, p.sigma, p.dt, p.C_S, *source_rates(p), prob.condition2_c,
               inst.strike)

@@ -252,7 +252,7 @@ def test_stencil_greeks_need_four_nodes(monkeypatch):
     surface = solve(desk_problem(grid=spec))
     with pytest.raises(InvalidSpec, match="at least 4 grid nodes"):
         delta_gamma(surface)
-    monkeypatch.setattr(solver, "plan", None)  # any planning would fail with TypeError
+    monkeypatch.setattr(solver, "_plan_stack", None)  # any planning would fail with TypeError
     with pytest.raises(InvalidSpec, match="at least 4 grid nodes"):
         greeks_report(desk_problem(grid=spec))
     monkeypatch.undo()

@@ -167,6 +167,16 @@ def test_processes_building_at_once_each_load_a_whole_library(tmp_path):
     assert len(names) == 1 and names[0].startswith("_march-") and names[0].endswith(".so")
 
 
+def test_the_address_passed_to_the_kernel_is_the_arrays_data():
+    """The kernel reads its arrays at ``_kernel.address``: the address numpy
+    reports, for writable, read-only, sliced and empty arrays alike."""
+    data = np.arange(12.0).reshape(3, 4)
+    frozen = data.copy()
+    frozen.flags.writeable = False
+    for array in (data, data[1:], frozen, np.empty(0)):
+        assert _kernel.address(array) == array.ctypes.data
+
+
 def test_a_missing_compiler_falls_back_to_the_numpy_march(tmp_path, monkeypatch):
     """No compiler, no library: the march runs in numpy, with the same values,
     and the failed build leaves nothing behind."""

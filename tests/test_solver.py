@@ -8,10 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from xvapde import (
+    EngineError,
     GridSpec,
     Instrument,
     ModelAssumptionWarning,
@@ -744,18 +745,172 @@ def test_an_out_of_range_time_index_fails_before_planning():
     np.testing.assert_array_equal(rows[0], payoff(prob.instrument, build_space_grid(prob.grid)))
 
 
+def test_rows_that_fail_at_different_sub_steps_each_report_their_own(both_marches):
+    """Without sub-steps, the huge-rate member of the "interior" case, the
+    sigma = 0.4 member of the "no-sub-steps" case and the RiskFree
+    sigma = 0.3 member blow up at three different (step, node) pairs. In
+    one stack, marched in one call, each reports its own, the one of the
+    plain per-sub-step loop, and the healthy members keep their lone bits."""
+    blows = [desk_problem(sigma=0.2, s_F=1e4, lambda_B=1e4), desk_problem(sigma=0.4),
+             desk_problem(variant=ModelVariant.RISK_FREE, sigma=0.3)]
+    healthy = [desk_problem(), desk_problem(variant=ModelVariant.BK, sigma=0.15)]
+    members = [healthy[0], blows[0], blows[2], healthy[1], blows[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)
+        failures = [first_non_finite(prob, substep=False) for prob in blows]
+        assert len(set(failures)) == 3 and None not in failures
+        for _ in both_marches():
+            want = [solve(prob, substep=False).terminal for prob in healthy]
+            outs = solve_stack(members, substep=False)
+            for prob, failure in zip(blows, failures):
+                bad = outs[members.index(prob)]
+                assert isinstance(bad, NonFiniteValue) and (bad.step, bad.node) == failure
+            for prob, row in zip(healthy, want):
+                assert outs[members.index(prob)].tobytes() == row.tobytes()
+
+
+# --- The stacked planner ---
+
+@st.composite
+def planner_stacks(draw):
+    """One to six members on one small grid, each drawn as a kind: a plain
+    member of any variant and drift mode, an upwind member whose drift is
+    negative, a custom payoff, the (+0.0, -0.0, +0.0) rates row, a member
+    that breaks condition 1, or a duplicate of an earlier member; with up to
+    three ties of two members and either sub-step setting."""
+    n_space = draw(st.integers(4, 24))
+    spec = GridSpec(x_minus=X_MINUS, x_plus=X_PLUS, x_star=math.log(STRIKE),
+                    alpha=(X_PLUS - X_MINUS) / draw(st.floats(2.0, 20.0)), n_space=n_space,
+                    n_time=draw(st.integers(1, 6)), horizon=draw(st.floats(0.1, 1.0)))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("plain", "plain", "upwind", "custom", "-0.0", "ill-posed",
+                                     "duplicate")))
+        if kind == "duplicate" and members:
+            members.append(draw(st.sampled_from(members)))
+            continue
+        sigma, dt = draw(st.floats(0.05, 0.5)), draw(st.floats(1e-3, 0.05))
+        overrides = dict(
+            sigma=sigma, dt=dt, q_S=draw(st.floats(0.0, 0.08)), gamma_S=draw(st.floats(0.0, 0.08)),
+            s_F=draw(st.floats(0.0, 0.05)), lambda_C=draw(st.floats(0.0, 0.1)),
+            C_C=draw(st.floats(0.0, 0.2)), C_S=draw(st.floats(0.0, 0.9)) * sigma / turnover_factor(dt))
+        variant = draw(st.sampled_from(ModelVariant))
+        mode = draw(st.sampled_from(DRIFT_MODES))
+        instrument = Instrument(draw(st.sampled_from(("call", "put"))), STRIKE)
+        if kind == "upwind":
+            overrides.update(q_S=0.0, gamma_S=0.06)
+            mode = "upwind"
+        elif kind == "custom":
+            instrument = Instrument("custom", STRIKE, np.array(draw(st.lists(
+                st.floats(-10.0, 10.0), min_size=n_space + 1, max_size=n_space + 1))))
+        elif kind == "-0.0":
+            overrides.update(s_F=0.0, R_C=1.0, R_B=1.0, lambda_B=0.0, C_B=0.01)
+            variant = ModelVariant.BKTC
+        elif kind == "ill-posed":
+            overrides.update(sigma=0.02, C_S=0.002, dt=1.0 / 261.0)
+            variant = ModelVariant.BKTC
+        members.append(Problem(params=desk_params(**overrides), variant=variant, grid=spec,
+                               instrument=instrument, drift_discretization=mode))
+    index = st.integers(0, len(members) - 1)
+    ties = st.lists(st.tuples(index, index).filter(lambda tie: tie[0] != tie[1]), max_size=3)
+    return members, draw(ties if len(members) > 1 else st.just([])), draw(st.booleans())
+
+
+def _recorded(call):
+    """call()'s result, or the EngineError it raised, and the messages of the
+    warnings it emitted, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except EngineError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+# a tie that raises a member with a cost-sink warning from nsub 1 to 4; its
+# warning must still print its weight at nsub 1
+_RAISED = desk_grid(n_space=10, n_time=4)
+
+
+@given(stack=planner_stacks())
+@example(stack=([desk_problem(C_C=0.1, grid=_RAISED), desk_problem(sigma=0.5, grid=_RAISED)],
+                [(0, 1)], True))
+@settings(max_examples=150, deadline=None)
+def test_the_stacked_plan_is_each_members_lone_plan_bit_for_bit(stack):
+    """Each member's row of a stacked plan is its lone ``plan`` bit for bit:
+    nsub (raised to the largest of its ties), delta, the weights (those of
+    ``step_coefficients`` at the raised nsub), rates, walls and start. The
+    stacked stability bounds are ``stability_bound``'s; a member that fails
+    its checks fails alone, with its lone error; and the stack warns as the
+    lone plans of its distinct members do, one after another."""
+    members, ties, substep = stack
+    space = build_space_grid(members[0].grid)
+    (out, rows, stacks), messages = _recorded(lambda: solver._plan_stack(members, substep, ties))
+    lone = [_recorded(lambda: solver.plan(prob, substep, space)) for prob in members]
+    distinct = {}
+    for prob, (_, said) in zip(members, lone):
+        distinct.setdefault(solver._plan_key(prob), said)
+    assert messages == [m for said in distinct.values() for m in said]
+
+    nsub = {i: pl.nsub for i, (pl, _) in enumerate(lone) if isinstance(pl, solver.Plan)}
+    for tie in ties:  # the rule ties follow: each raises its planned members to their largest
+        tied = [i for i in tie if i in nsub]
+        for i in tied:
+            nsub[i] = max(nsub[k] for k in tied)
+    for i, (prob, (pl, _)) in enumerate(zip(members, lone)):
+        if not isinstance(pl, solver.Plan):
+            assert type(out[i]) is type(pl) and str(out[i]) == str(pl) and rows[i] is None
+            continue
+        k, r = rows[i]
+        got = stacks[k].plan(r)
+        assert out[i] is None and got.nsub == nsub[i] and got.dtau == pl.dtau
+        p = prob.effective_params()
+        delta = pl.dtau / nsub[i]
+        weights = (step_coefficients(space, p, delta, prob.drift_discretization)
+                   if nsub[i] != pl.nsub else (pl.a, pl.b, pl.c))
+        for name, want in [("delta", delta), *zip("abc", weights), ("rates", pl.rates),
+                           ("walls", pl.walls), ("start", pl.start)]:
+            assert np.array(getattr(got, name)).tobytes() == np.array(want).tobytes(), name
+        assert pl.nsub == (max(1, math.ceil(pl.dtau / stability_bound(space, p)))
+                           if substep else 1)
+
+    posed = [prob.effective_params() for prob, (pl, _) in zip(members, lone)
+             if isinstance(pl, solver.Plan)]
+    if posed:
+        columns = solver._columns([(*model.variance_and_drift(p), p.r) for p in posed])
+        assert (solver._stability_bounds(space, *columns)
+                == [stability_bound(space, p) for p in posed])
+
+
+def test_the_engine_counts_its_work(both_marches):
+    """The counters add what each stack asked for, planned, built and
+    marched: a desk solve is one member, one plan, one grid and one row of
+    261 sub-steps over 199 interior nodes; a greeks report is five members,
+    plans and rows on the grid it builds and passes in; a duplicate is asked
+    for but neither planned nor marched."""
+    prob = desk_problem()
+    for _ in both_marches():
+        solver._counts.reset()
+        solve(prob)
+        assert vars(solver._counts) == dict(members=1, plans=1, rows=1, substeps=261,
+                                            node_updates=261 * 199, grids=1)
+        solver._counts.reset()
+        greeks_report(prob)
+        assert (solver._counts.members, solver._counts.plans, solver._counts.rows,
+                solver._counts.grids) == (5, 5, 5, 0)
+        solver._counts.reset()
+        solve_stack([prob, prob], substep=False)
+        assert vars(solver._counts) == dict(members=2, plans=1, rows=1, substeps=261,
+                                            node_updates=261 * 199, grids=1)
+
+
 # --- Duplicate members ---
 
-def _count_plans_and_marches(monkeypatch):
-    """Count the ``solver.plan`` and ``solver._march`` calls; reset the
-    counts with ``calls.update(plan=0, _march=0)``."""
-    calls = {"plan": 0, "_march": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(solver, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(solver, name, counted)
-    return calls
+def _plans_and_rows():
+    """(members planned, rows marched) on the engine's counters since their
+    last reset."""
+    return solver._counts.plans, solver._counts.rows
 
 
 SWEEPS = {"lambda_C": (np.linspace(0.005, 0.04, 8), 9),
@@ -765,8 +920,7 @@ SWEEPS = {"lambda_C": (np.linspace(0.005, 0.04, 8), 9),
 
 
 @pytest.mark.parametrize("parameter", SWEEPS)
-def test_a_sweep_plans_and_marches_each_distinct_member_once(both_marches, monkeypatch,
-                                                             parameter):
+def test_a_sweep_plans_and_marches_each_distinct_member_once(both_marches, parameter):
     """The RiskFree variant zeroes lambda_C and C_S and reads R_C only
     through terms it zeroes, so the 8 RiskFree twins of such a sweep are one
     problem: 9 plans and 9 marches. A sigma sweep reaches the twins too and
@@ -774,11 +928,10 @@ def test_a_sweep_plans_and_marches_each_distinct_member_once(both_marches, monke
     for bit."""
     values, distinct = SWEEPS[parameter]
     base = desk_problem()
-    calls = _count_plans_and_marches(monkeypatch)
     for _ in both_marches():
-        calls.update(plan=0, _march=0)
+        solver._counts.reset()
         result = sweep(base, parameter, values)
-        assert calls == {"plan": distinct, "_march": distinct}
+        assert _plans_and_rows() == (distinct, distinct)
         assert not result.errors
         rf = desk_problem(variant=ModelVariant.RISK_FREE)
         for v, price, cva in zip(values, result.prices, result.cvas):
@@ -792,17 +945,15 @@ def test_a_sweep_plans_and_marches_each_distinct_member_once(both_marches, monke
 
 
 @pytest.mark.parametrize("request_kind, distinct", [("greeks", 5), ("cva", 2)])
-def test_greeks_and_cva_keep_their_member_counts(both_marches, monkeypatch, request_kind,
-                                                 distinct):
+def test_greeks_and_cva_keep_their_member_counts(both_marches, request_kind, distinct):
     prob = desk_problem()
-    calls = _count_plans_and_marches(monkeypatch)
     for _ in both_marches():
-        calls.update(plan=0, _march=0)
+        solver._counts.reset()
         greeks_report(prob) if request_kind == "greeks" else cva_profile(prob)
-        assert calls == {"plan": distinct, "_march": distinct}
+        assert _plans_and_rows() == (distinct, distinct)
 
 
-def test_signed_zero_members_are_not_merged(both_marches, monkeypatch):
+def test_signed_zero_members_are_not_merged(both_marches):
     """With lambda_C = -0.0, s_F = -0.0 gives a -0.0 positive-exposure rate
     and s_F = +0.0 a +0.0 one: the first row has a source, the second is
     zero-source, so the two BK members plan apart. The zero-source one
@@ -816,16 +967,15 @@ def test_signed_zero_members_are_not_merged(both_marches, monkeypatch):
     members += [desk_problem(s_F=s_F, **shared) for s_F in (0.0, -0.0)]
     assert [solver._has_source(source_rates(m.effective_params())) for m in members[:2]] \
         == [False, True]
-    calls = _count_plans_and_marches(monkeypatch)
     for _ in both_marches():
-        calls.update(plan=0, _march=0)
+        solver._counts.reset()
         rows = solve_stack(members)
-        assert calls == {"plan": 3, "_march": 3}
+        assert _plans_and_rows() == (3, 3)
         for prob, row in zip(members, rows):
             assert row.tobytes() == solve(prob).terminal.tobytes()
 
 
-def test_distinct_custom_payoff_instruments_are_not_merged(both_marches, monkeypatch):
+def test_distinct_custom_payoff_instruments_are_not_merged(both_marches):
     """An Instrument counts by value: custom payoffs that differ in one
     sample plan apart, and equal samples in separate arrays plan once."""
     grid = desk_grid(n_space=40, n_time=10)
@@ -836,28 +986,26 @@ def test_distinct_custom_payoff_instruments_are_not_merged(both_marches, monkeyp
     members = [desk_problem(grid=grid, instrument=Instrument("custom", STRIKE, custom_payoff=g))
                for g in (samples, one_off, samples.copy())]
     assert solver._plan_key(members[0]) != solver._plan_key(members[1])
-    calls = _count_plans_and_marches(monkeypatch)
     for _ in both_marches():
-        calls.update(plan=0, _march=0)
+        solver._counts.reset()
         rows = solve_stack(members)
-        assert calls == {"plan": 2, "_march": 2}
+        assert _plans_and_rows() == (2, 2)
         for prob, row in zip(members, rows):
             assert row.tobytes() == solve(prob).terminal.tobytes()
         assert not np.array_equal(rows[0], rows[1])
 
 
-def test_equal_instruments_built_apart_plan_once(both_marches, monkeypatch):
+def test_equal_instruments_built_apart_plan_once(both_marches):
     """The plan key reads the instrument's kind, strike and payoff, not the
     object: two desk members and two RiskFree twins, each with its own
     Instrument, plan and march twice, and each row is its lone solve."""
     members = [desk_problem(), desk_problem(), desk_problem(variant=ModelVariant.RISK_FREE),
                desk_problem(variant=ModelVariant.RISK_FREE, lambda_C=0.03)]
     assert len({id(m.instrument) for m in members}) == 4
-    calls = _count_plans_and_marches(monkeypatch)
     for _ in both_marches():
-        calls.update(plan=0, _march=0)
+        solver._counts.reset()
         rows = solve_stack(members)
-        assert calls == {"plan": 2, "_march": 2}
+        assert _plans_and_rows() == (2, 2)
         for prob, row in zip(members, rows):
             assert row.tobytes() == solve(prob).terminal.tobytes()
 
@@ -990,9 +1138,6 @@ def test_the_monotone_check_warns_as_the_full_diagnosis(q_S, gamma_S, sigma, C_C
         name, where = nan_at
         weights[name][int(where * (n_space - 2))] = np.nan
     rates = source_rates(p)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        solver._check_monotone(grid, *weights.values(), delta, rates)
-    assert all(w.category is ModelAssumptionWarning for w in caught)
-    assert ([str(w.message) for w in caught]
-            == monotone_warnings(grid, *weights.values(), delta, rates))
+    rows = [w[None] for w in weights.values()]
+    assert (solver._check_monotone(grid, *rows, delta, [rates])
+            == [monotone_warnings(grid, *weights.values(), delta, rates)])
