@@ -31,6 +31,9 @@ class GridSpec:
     horizon: float   # T: maturity in years
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:  # vars(self) would slow every later read
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.x_minus < self.x_star < self.x_plus:
             raise InvalidSpec("need x_minus < x_star < x_plus")
         if not self.alpha > 0.0:

@@ -37,6 +37,8 @@ class Instrument:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if not math.isfinite(self.strike):
+            raise ValueError(f"strike must be a finite number, got {self.strike!r}")
         if not self.strike > 0.0:
             raise ValueError("strike must be positive")
 

@@ -63,6 +63,9 @@ class ModelParams:
     dt: float        # rehedging interval backing the cost terms
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:  # vars(self) would slow every later read
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
         if not self.dt > 0.0:

@@ -20,38 +20,38 @@ step is split into equal sub-steps automatically; passing substep=False
 disables the guard (useful only to demonstrate the blow-up).
 
 A solve has two parts. The plan does everything that does not change with
-tau once: the condition checks and warnings, the grid, the sub-step count
-and size, the weights (a, b, c), the three source rates and the wall
-curves. The march then only does arithmetic. Every solve is a stack:
-``solve`` is a stack of one, ``solve_stack`` and ``solve_pairs`` take
-many. ``_plan_stack`` plans all the distinct members of a stack that share
-a grid in one pass of column-broadcast numpy, one row per member, with
-each element computed as a lone plan computes it; ``plan`` is its
-one-member case. Members that would plan to the same bits (the RiskFree
-twins of a credit or cost sweep) plan once and, at one nsub, march once.
+tau once: the condition checks, the grid, the sub-step count and size,
+the weights (a, b, c), the three source rates and the wall curves. The
+march then only does arithmetic. Every solve is a stack: ``solve`` is a
+stack of one, ``solve_stack`` and ``solve_pairs`` take many. A stack is
+split by grid once, and ``_plan_stack`` plans the distinct members of one
+grid in one pass of column-broadcast numpy, one row per member, with each
+element computed as a lone plan computes it; it returns each member's
+warning texts rather than warning. Members that would plan to the same
+bits (the RiskFree twins of a credit or cost sweep) plan once and, at one
+nsub, march once. Every grid plans before any marches; the warnings then
+come in member order, located at the caller's line outside the package.
 
 The march is a compiled C kernel (``_march.c``, built on first use and
-loaded with ctypes; see ``_kernel``): one call marches every row of a
-stack on one grid, each through every sub-step of every level, with the
+loaded with ctypes; see ``_kernel``): one call per grid marches every row
+of the stack on it, each through every sub-step of every level, with the
 walls and a finiteness check after every sub-step, so a row's
 NonFiniteValue names its first non-finite sub-step and node directly.
 Where no compiler is found, ``_march_numpy`` runs the same march in
 numpy, one row and one sub-step at a time. It is also the reference the
 kernel is tested against, bit for bit: the kernel keeps its order of
 operations, and its walls call the libm ``exp`` that ``math.exp`` calls.
-
-A zero-source row, one whose three source rates are all +0.0 (tested on
-the bit pattern, so a -0.0 rate keeps its source), marches the linear
-update alone: on finite rows its source is exactly +0 and v - (+0) = v,
-so no bit moves. Every RiskFree row is one. In a blow-up, a zero-source
-row's NonFiniteValue names the first node where the linear update itself
-overflows, not where 0*inf would first have turned NaN.
+A zero-source row (``_has_source``) marches the linear update alone; no
+bit moves, and in a blow-up its NonFiniteValue names the first node where
+the linear update itself overflows.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -79,6 +79,7 @@ __all__ = ["Problem", "Surface", "Plan", "plan", "step_coefficients", "source_ra
            "nonlinear_source", "step", "solve", "solve_stack", "solve_pairs", "solved"]
 
 DRIFT_MODES = ("forward", "upwind")
+_PACKAGE = os.path.dirname(__file__) + os.sep  # the files whose frames a warning skips
 # the conditions a solve only warns on, with the argument each one backs
 _ADVISORY = {"condition2": "contraction", "condition4": "comparison"}
 
@@ -247,29 +248,15 @@ class _Stack(NamedTuple):
                     start=self.start[r])
 
 
-class _Group:
-    """The distinct members of a stack on one grid while they are planned:
-    ``rows`` maps each row they march or check on, a (member, nsub), to its
-    index."""
-
-    __slots__ = ("grid", "dtau", "members", "rows", "stack")
-
-    def __init__(self, grid: SpaceGrid, dtau: float):
-        self.grid, self.dtau, self.members, self.rows = grid, dtau, [], {}
-        self.stack = None  # the index of its _Stack, once built
-
-
 class _Member(NamedTuple):
     """What the plan of one distinct member of a stack reads, once its
     checks pass: walls and start are None when its payoff failed."""
 
-    index: int
     scalars: tuple[float, float, float]  # sig2, drift, r
     forward: bool  # whether its drift is differenced forward
     rates: tuple[float, float, float]
     walls: tuple | None
     start: np.ndarray | None
-    advisories: list[str]
 
 
 class _Counts:
@@ -370,43 +357,43 @@ def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> 
     variant-filtered parameters break condition 1. The one-member case of
     ``_plan_stack``.
     """
-    return _plan_one(prob, substep, None if grid is None else {prob.grid: grid}).plan(0)
-
-
-def _plan_one(prob: Problem, substep: bool = True, grids=None) -> _Stack:
-    """The one-row stack of ``prob``, or the error that stopped its plan."""
-    out, _, stacks = _plan_stack([prob], substep, (), grids)
-    return stacks[0] if out[0] is None else solved(out[0])
+    out, _, findings, stack = _plan_stack([prob], substep, (),
+                                          None if grid is None else {prob.grid: grid})
+    _warn(findings)
+    solved(out[0])
+    return stack.plan(0)
 
 
 def _plan_stack(problems, substep: bool = True, ties=(),
                 grids: dict[GridSpec, SpaceGrid] | None = None):
-    """Check and plan the distinct members of a stack, each grid's members
-    in one broadcast pass.
+    """Check and plan the distinct members of a stack on one grid in one
+    broadcast pass, and warn nothing.
 
     Members with equal ``_plan_key`` plan once. Each distinct member is
     checked alone, so one that breaks condition 1, or whose grid or payoff
-    cannot be built, fails alone. Then, grid by grid, one pass takes every
-    member's stability bound and nsub; ``ties`` (tuples of member indices)
-    raise tied members to the largest nsub among them, since a larger nsub
-    only shrinks the sub-step; and a second pass builds the weights and
-    the monotone check of every distinct (member, nsub) row. Each element
-    is computed as a lone plan computes it. The warnings come last, member
-    by member in stack order: each member's condition warnings, then its
-    monotone ones, taken at its own nsub as its lone plan takes them.
+    cannot be built, fails alone. Then one pass takes every member's
+    stability bound and nsub; ``ties`` (tuples of member indices) raise
+    tied members to the largest nsub among them, since a larger nsub only
+    shrinks the sub-step; and a second pass builds the weights and the
+    monotone check of every distinct (member, nsub) row. Each element is
+    computed as a lone plan computes it.
 
-    Returns (out, rows, stacks): out[i] is member i's planning error or
-    None, stacks the ``_Stack`` of the rows on each grid, and rows[i] the
-    (stack, row) indices that member i marches on, or None. ``grids`` holds
-    grids already built, by spec; the planner adds the ones it builds.
+    Returns (out, rows, findings, stack): out[i] is member i's planning
+    error or None, rows[i] the row of ``stack`` that member i marches on,
+    or None, and findings[i] its warning texts, empty for a duplicate: its
+    condition warnings, then its monotone ones, taken at its own nsub as
+    its lone plan takes them. ``stack`` is None when no member marches.
+    ``grids`` holds grids already built, by spec; the planner adds the one
+    it builds.
     """
     grids = {} if grids is None else grids
+    spec = problems[0].grid
+    grid = grids.get(spec)
     many = len(problems) > 1
-    out: list = [None] * len(problems)
+    out, rows = [None] * len(problems), [None] * len(problems)
+    findings: list = [[] for _ in problems]
     heads: dict = {}  # plan key -> the member that plans it
     head_of = []
-    groups: dict[SpaceGrid, _Group] = {}  # by grid object, which hashes faster than its spec
-    group_of: dict[int, _Group] = {}  # the group of each member that passed its checks
     checked: dict[int, _Member] = {}  # the members that passed their checks
     for i, prob in enumerate(problems):
         p = prob.effective_params()
@@ -417,85 +404,74 @@ def _plan_stack(problems, substep: bool = True, ties=(),
                 out[i] = _duplicate(out[head])
             continue
         try:
-            grid = grids.get(prob.grid)
-            if grid is None:
-                grid = grids[prob.grid] = build_space_grid(prob.grid)
+            if grid is None:  # each distinct member tries, so each fails alone
+                grid = grids[spec] = build_space_grid(spec)
                 _counts.grids += 1
             sig2, drift = variance_and_drift(p)  # condition 1 raises here
         except EngineError as exc:
             out[i] = exc
             continue
-        group = groups.get(grid)
-        if group is None:
-            group = groups[grid] = _Group(grid, prob.grid.dtau if prob.grid.n_time else 0.0)
-        advisories = _advisories(prob, p)
+        findings[i] = _advisories(prob, p)
         try:
             walls, start = boundary_curves(prob.instrument, grid, p), payoff(prob.instrument, grid)
             _counts.plans += 1
         except MissingPayoff as exc:  # after the checks that warn, as in a lone plan
             out[i] = exc
             walls = start = None
-        checked[i] = m = _Member(i, (sig2, drift, p.r),
-                                 prob.drift_discretization == "forward" or drift >= 0.0,
-                                 source_rates(p), walls, start, advisories)
-        group.members.append(m)
-        group_of[i] = group
+        checked[i] = _Member((sig2, drift, p.r), prob.drift_discretization == "forward"
+                             or drift >= 0.0, source_rates(p), walls, start)
     _counts.members += len(problems)
+    if not checked:
+        return out, rows, findings, None
 
-    own = {}  # member -> its nsub alone
-    for group in groups.values():
-        if not substep:
-            own.update((m.index, 1) for m in group.members)
-            continue
-        bounds = _stability_bounds(group.grid, *_columns([m.scalars for m in group.members]))
-        for m, bound in zip(group.members, bounds):
-            own[m.index] = max(1, math.ceil(group.dtau / bound)) if math.isfinite(bound) else 1
+    dtau = spec.dtau if spec.n_time else 0.0
+    own = dict.fromkeys(checked, 1)  # member -> its nsub alone
+    if substep:
+        bounds = _stability_bounds(grid, *_columns([m.scalars for m in checked.values()]))
+        own = {i: max(1, math.ceil(dtau / bound)) if math.isfinite(bound) else 1
+               for i, bound in zip(checked, bounds)}
     nsub = {i: own[h] for i, h in enumerate(head_of) if h in own and out[h] is None}
     for tie in ties:
         tied = [i for i in tie if i in nsub]
-        top = max((nsub[i] for i in tied), default=1)
-        for i in tied:
-            nsub[i] = top
+        nsub.update(dict.fromkeys(tied, max((nsub[i] for i in tied), default=1)))
 
-    # each grid's rows: the marched ones in member order, then any that only
-    # a monotone check at a member's own nsub needs
-    rows: list = [None] * len(problems)
+    # the rows: the marched ones in member order, then any that only a
+    # monotone check at a member's own nsub needs
+    layout: dict = {}  # (member, nsub) -> row
     for i, n in nsub.items():
-        layout = group_of[head_of[i]].rows
         rows[i] = layout.setdefault((head_of[i], n), len(layout))
-    stacks, monotone = [], {}
-    for group in groups.values():
-        layout = group.rows
-        marched = len(layout)
-        for m in group.members:
-            layout.setdefault((m.index, own[m.index]), len(layout))
-        members = [checked[h] for h, _ in layout]
-        delta = [group.dtau / n for _, n in layout]
-        sig2, drift, r, dt = _columns([m.scalars + (d,) for m, d in zip(members, delta)])
-        forward = [m.forward for m in members]
-        a, b, c = [w.reshape(len(members), -1) for w in _coefficients(
-            group.grid, sig2, drift, r, dt, True if all(forward) else np.array(forward)[:, None])]
-        rates = [m.rates for m in members]
-        weights = (a, b, c, dt, rates)
-        if len(layout) != len(group.members):  # check each member at its own nsub
-            check = [layout[m.index, own[m.index]] for m in group.members]
-            weights = (a[check], b[check], c[check], dt[check], [rates[k] for k in check])
-        monotone.update(zip([m.index for m in group.members],
-                            _check_monotone(group.grid, *weights)))
-        if marched:
-            members = members[:marched]
-            group.stack = len(stacks)
-            stacks.append(_Stack(
-                grid=group.grid, dtau=group.dtau, nsub=np.array([n for _, n in layout][:marched]),
-                delta=np.array(delta[:marched]), a=a[:marched], b=b[:marched], c=c[:marched],
-                rates=np.array(rates[:marched]), walls=np.array([m.walls for m in members]),
-                start=np.array([m.start for m in members])))
-    for i in nsub:
-        rows[i] = group_of[head_of[i]].stack, rows[i]
-    for m in checked.values():
-        for message in m.advisories + monotone[m.index]:
-            warnings.warn(message, ModelAssumptionWarning, stacklevel=3)
-    return out, rows, stacks
+    marched = len(layout)
+    check = [layout.setdefault(row, len(layout)) for row in own.items()]
+    members = [checked[h] for h, _ in layout]
+    delta = [dtau / n for _, n in layout]
+    sig2, drift, r, dt = _columns([m.scalars + (d,) for m, d in zip(members, delta)])
+    forward = [m.forward for m in members]
+    a, b, c = [w.reshape(len(members), -1) for w in _coefficients(
+        grid, sig2, drift, r, dt, True if all(forward) else np.array(forward)[:, None])]
+    rates = [m.rates for m in members]
+    weights = (a, b, c, dt, rates)
+    if check != list(range(len(layout))):  # check each member at its own nsub
+        weights = (a[check], b[check], c[check], dt[check], [rates[k] for k in check])
+    for i, said in zip(checked, _check_monotone(grid, *weights)):
+        findings[i] += said
+    if not marched:
+        return out, rows, findings, None
+    return out, rows, findings, _Stack(
+        grid=grid, dtau=dtau, nsub=np.array([n for _, n in layout][:marched]),
+        delta=np.array(delta[:marched]), a=a[:marched], b=b[:marched], c=c[:marched],
+        rates=np.array(rates[:marched]), walls=np.array([m.walls for m in members[:marched]]),
+        start=np.array([m.start for m in members[:marched]]))
+
+
+def _warn(findings) -> None:
+    """Emit each member's findings, in member order, as ModelAssumptionWarning
+    located at the first caller outside the package."""
+    messages = [message for said in findings for message in said]
+    level, frame = 2, sys._getframe(1) if messages else None  # no walk with nothing to warn
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        level, frame = level + 1, frame.f_back
+    for message in messages:
+        warnings.warn(message, ModelAssumptionWarning, stacklevel=level)
 
 
 def _has_source(rates) -> bool:
@@ -514,9 +490,12 @@ def _march(st: _Stack, rows: np.ndarray, first: int, last: int, keep: int | None
 
     ``keep`` is the level to return, or None for every level from ``first``
     on. One outcome per row: its kept values, or the NonFiniteValue that
-    stopped its march. The rows march in one call of the compiled kernel;
-    where that cannot be built, one by one in numpy (``_march_numpy``),
-    which gives the same bits.
+    stopped its march. The rows march in one call of ``_march.c``'s
+    ``march_rows``, each in the order of operations of ``_march_numpy`` and
+    without its source where its rates are all +0.0 (``_has_source``); the
+    kernel checks finiteness after every sub-step and names each row's
+    first non-finite node itself. Where the kernel cannot be built, the rows
+    march one by one in ``_march_numpy``, which gives the same bits.
     """
     from . import _kernel  # built or loaded on the first march, not at import
 
@@ -527,17 +506,6 @@ def _march(st: _Stack, rows: np.ndarray, first: int, last: int, keep: int | None
     lib = _kernel.library()
     if lib is None:
         return [_march_numpy(st.plan(r), row, first, last, keep) for r, row in enumerate(rows)]
-    return _march_rows(lib, st, rows, first, last, keep)
-
-
-def _march_rows(lib, st: _Stack, rows: np.ndarray, first: int, last: int, keep: int | None):
-    """Every row's march in one call of ``_march.c``'s ``march_rows``, each
-    row in the order of operations of ``_march_numpy``, and without its
-    source where its rates are all +0.0, the rule of ``_has_source``; the
-    kernel checks finiteness after every sub-step and names each row's
-    first non-finite node itself."""
-    from . import _kernel
-
     x = np.array(rows, dtype=float)
     n_rows, width = x.shape
     nsub = np.ascontiguousarray(st.nsub, dtype=np.int64)
@@ -604,8 +572,10 @@ def step(row: np.ndarray, m: int, prob: Problem, substep: bool = True) -> np.nda
     One level of the same march ``solve`` runs. Raises NonFiniteValue at the
     first sub-step and node that stops being finite.
     """
-    rows = np.array(row, dtype=float)[None]
-    return solved(_march(_plan_one(prob, substep), rows, m, m + 1, m + 1)[0])
+    out, _, findings, stack = _plan_stack([prob], substep)
+    _warn(findings)
+    solved(out[0])
+    return solved(_march(stack, np.array(row, dtype=float)[None], m, m + 1, m + 1)[0])
 
 
 def solve(prob: Problem, substep: bool = True) -> Surface:
@@ -638,39 +608,51 @@ def _solve_stack(problems, time_index: int | None = -1, substep: bool = True,
                  ties=(), grids: dict[GridSpec, SpaceGrid] | None = None) -> list:
     """``solve_stack``, with ``ties``: tuples of member indices that march at
     the largest nsub among them, so a difference of two of them carries
-    one time-truncation error. ``grids`` holds grids the caller has already
-    built, by spec; the stack adds the ones it builds.
+    one time-truncation error; a tie joins members on one grid. ``grids``
+    holds grids the caller has already built, by spec; the stack adds the
+    ones it builds.
 
-    ``_plan_stack`` plans the stack, and each grid's rows march in one
-    ``_march``. Members that plan to one row (equal ``_plan_key`` and
-    nsub) share its march; every member after the first gets its own copy
-    of that outcome (``_duplicate``).
+    The members are split by grid once. ``_plan_stack`` plans each grid's
+    members before any of them marches; their findings are emitted in
+    member order; then each grid's rows march in one ``_march``. Members
+    that plan to one row (equal ``_plan_key`` and nsub) share its march;
+    every member after the first gets its own copy of that outcome
+    (``_duplicate``).
     """
     if time_index is not None and problems:  # before any planning and its warnings
         levels = min(prob.grid.n_time + 1 for prob in problems)
         if not -levels <= time_index < levels:
             raise IndexError(f"time_index {time_index} is out of range for a grid of "
                              f"{levels} levels")
-    out, rows, stacks = _plan_stack(problems, substep, ties, grids)
-    outcomes: list = [None] * len(stacks)
-    taken = set()
-    for i, row in enumerate(rows):
-        if row is None:
-            continue
-        k, r = row
-        if outcomes[k] is None:  # all the rows on one grid march in one call
-            n_time = problems[i].grid.n_time
-            keep = None if time_index is None else range(n_time + 1)[time_index]
-            outcomes[k] = _march(stacks[k], stacks[k].start, 0, n_time, keep)
-        out[i] = _duplicate(outcomes[k][r]) if row in taken else outcomes[k][r]
-        taken.add(row)
+    split: dict[GridSpec, list[int]] = {}
+    for i, prob in enumerate(problems):
+        split.setdefault(prob.grid, []).append(i)
+    out, findings, planned = [None] * len(problems), [None] * len(problems), []
+    for members in split.values():
+        local = {i: k for k, i in enumerate(members)}
+        got, rows, said, stack = _plan_stack([problems[i] for i in members], substep, [
+            [local[i] for i in tie if i in local] for tie in ties], grids)
+        for i, err, messages in zip(members, got, said):
+            out[i], findings[i] = err, messages
+        if stack is not None:
+            planned.append((members, rows, stack))
+    _warn(findings)
+    for members, rows, stack in planned:
+        n_time = problems[members[0]].grid.n_time
+        outcomes = _march(stack, stack.start, 0, n_time,  # every row in one call
+                          None if time_index is None else range(n_time + 1)[time_index])
+        taken = set()
+        for i, r in zip(members, rows):
+            if r is not None:
+                out[i] = _duplicate(outcomes[r]) if r in taken else outcomes[r]
+                taken.add(r)
     return out
 
 
 def _plan_key(prob: Problem, p: ModelParams | None = None) -> tuple:
-    """What ``plan`` reads of a problem: two problems with equal keys plan,
-    and at one nsub march, to the same bits. ``p`` may pass in the
-    problem's variant-filtered parameters.
+    """What ``plan`` reads of a problem besides its grid: two problems on
+    one grid with equal keys plan, and at one nsub march, to the same bits.
+    ``p`` may pass in the problem's variant-filtered parameters.
 
     Of the variant-filtered parameters, the plan reads r, q_S, gamma_S,
     sigma, dt and C_S, and the others only through the three source rates,
@@ -688,8 +670,8 @@ def _plan_key(prob: Problem, p: ModelParams | None = None) -> tuple:
     if custom is not None:
         custom = np.asarray(custom, dtype=float)
         custom = custom.tobytes(), custom.shape
-    return (np.array(values, dtype=float).tobytes(), tuple(map(type, values)), prob.grid,
-            inst.kind, custom, prob.drift_discretization)
+    return (np.array(values, dtype=float).tobytes(), tuple(map(type, values)), inst.kind,
+            custom, prob.drift_discretization)
 
 
 def _duplicate(outcome):

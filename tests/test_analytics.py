@@ -185,6 +185,19 @@ def test_sweep_records_failures_and_keeps_going():
         assert len(res.prices[k]) == len(res.spots)
 
 
+@pytest.mark.parametrize("parameter,values", [
+    ("q_S", [0.05, math.inf]), ("r", [-math.inf, 0.05]), ("C_C", [0.001, math.inf])])
+def test_sweep_records_a_non_finite_member_and_solves_the_rest(parameter, values):
+    prob = desk_problem(grid=desk_grid(n_space=10, n_time=4))
+    res = sweep(prob, parameter, values)
+    bad, good = (0, 1) if math.isinf(values[0]) else (1, 0)
+    assert res.errors == {values[bad]: f"ValueError: {parameter} must be a finite number, "
+                                       f"got {values[bad]!r}"}
+    assert res.prices[bad] is None and res.cvas[bad] is None
+    member = replace(prob, params=replace(prob.params, **{parameter: values[good]}))
+    np.testing.assert_array_equal(res.prices[good], solve(member).terminal)
+
+
 def test_sweep_prices_fall_as_the_share_cost_rises():
     prob = desk_problem(grid=desk_grid(n_time=40))
     res = sweep(prob, "C_S", [0.0, 0.002, 0.004])

@@ -9,10 +9,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 import xvapde
 from xvapde import analytics, greeks, grid, instrument, model, solver
+
+from helpers import desk_grid, desk_problem
 
 PUBLIC = [
     "ConditionReport", "ConfigError", "EngineError", "GreeksReport", "GridSpec",
@@ -172,3 +177,28 @@ def test_the_first_public_read_binds_every_public_name():
     assert listed == []
     assert after == []
     assert foreign == []
+
+
+def test_library_warnings_name_the_callers_line():
+    """Every entry point that plans emits its ModelAssumptionWarnings at the
+    first frame outside the package: here, this file's calling line."""
+    prob = desk_problem(C_C=0.1, grid=desk_grid(n_space=10, n_time=20))
+    calls = {
+        "solve": lambda: xvapde.solve(prob),
+        "solve_stack": lambda: xvapde.solve_stack([prob, prob]),
+        "solve_pairs": lambda: xvapde.solve_pairs([(prob, prob)]),
+        "greeks_report": lambda: xvapde.greeks_report(prob),
+        "bump_greek": lambda: greeks.bump_greek(prob, "vega"),
+        "cva_profile": lambda: xvapde.cva_profile(prob),
+        "compare_models": lambda: xvapde.compare_models(prob),
+        "sweep": lambda: xvapde.sweep(prob, "lambda_C", [0.01, 0.02]),
+        "plan": lambda: solver.plan(prob),
+        "step": lambda: solver.step(np.zeros(11), 0, prob),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert caught, name
+        assert {(w.category, w.filename) for w in caught} == {
+            (xvapde.ModelAssumptionWarning, __file__)}, name

@@ -49,6 +49,17 @@ def test_rejects_degenerate_sizes(field, value):
         GridSpec(**kw)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x_minus", "x_plus", "x_star", "alpha", "n_space", "n_time",
+                                   "horizon"])
+def test_rejects_non_finite_fields(field, value):
+    kw = dict(x_minus=0.0, x_plus=1.0, x_star=0.5, alpha=1.0,
+              n_space=10, n_time=10, horizon=1.0)
+    kw[field] = value
+    with pytest.raises(InvalidSpec, match=f"^{field} must be a finite number"):
+        GridSpec(**kw)
+
+
 def test_dtau_requires_time_steps():
     spec = GridSpec(x_minus=0.0, x_plus=1.0, x_star=0.5, alpha=1.0,
                     n_space=10, n_time=0, horizon=1.0)

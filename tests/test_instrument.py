@@ -32,6 +32,12 @@ def test_rejects_nonpositive_strike():
         Instrument(kind="call", strike=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_strike(value):
+    with pytest.raises(ValueError, match="^strike must be a finite number"):
+        Instrument(kind="call", strike=value)
+
+
 # --- Payoffs ---
 
 def test_call_payoff_hinge():

@@ -69,6 +69,16 @@ def test_rejects_negative_rates_and_costs(name):
         desk_params(**{name: -0.01})
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", list(vars(desk_params())))
+def test_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        desk_params(**{name: value})
+
+
 # --- Variant filtering ---
 
 def test_risk_free_variant_zeroes_every_adjustment():

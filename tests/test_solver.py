@@ -5,6 +5,7 @@ import csv
 import math
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -775,9 +776,10 @@ def test_rows_that_fail_at_different_sub_steps_each_report_their_own(both_marche
 def planner_stacks(draw):
     """One to six members on one small grid, each drawn as a kind: a plain
     member of any variant and drift mode, an upwind member whose drift is
-    negative, a custom payoff, the (+0.0, -0.0, +0.0) rates row, a member
-    that breaks condition 1, or a duplicate of an earlier member; with up to
-    three ties of two members and either sub-step setting."""
+    negative, a custom payoff, one whose payoff has too few samples, the
+    (+0.0, -0.0, +0.0) rates row, a member that breaks condition 1, or a
+    duplicate of an earlier member; with up to three ties of two members
+    and either sub-step setting."""
     n_space = draw(st.integers(4, 24))
     spec = GridSpec(x_minus=X_MINUS, x_plus=X_PLUS, x_star=math.log(STRIKE),
                     alpha=(X_PLUS - X_MINUS) / draw(st.floats(2.0, 20.0)), n_space=n_space,
@@ -785,7 +787,7 @@ def planner_stacks(draw):
     members = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(("plain", "plain", "upwind", "custom", "-0.0", "ill-posed",
-                                     "duplicate")))
+                                     "no-payoff", "duplicate")))
         if kind == "duplicate" and members:
             members.append(draw(st.sampled_from(members)))
             continue
@@ -803,6 +805,8 @@ def planner_stacks(draw):
         elif kind == "custom":
             instrument = Instrument("custom", STRIKE, np.array(draw(st.lists(
                 st.floats(-10.0, 10.0), min_size=n_space + 1, max_size=n_space + 1))))
+        elif kind == "no-payoff":  # fails after its checks, with its warnings
+            instrument = Instrument("custom", STRIKE, np.zeros(n_space))
         elif kind == "-0.0":
             overrides.update(s_F=0.0, R_C=1.0, R_B=1.0, lambda_B=0.0, C_B=0.01)
             variant = ModelVariant.BKTC
@@ -836,6 +840,10 @@ _RAISED = desk_grid(n_space=10, n_time=4)
 @given(stack=planner_stacks())
 @example(stack=([desk_problem(C_C=0.1, grid=_RAISED), desk_problem(sigma=0.5, grid=_RAISED)],
                 [(0, 1)], True))
+# a member whose payoff fails ahead of one that marches keeps its own monotone warning
+@example(stack=([replace(desk_problem(C_C=0.1, grid=_RAISED),
+                         instrument=Instrument("custom", STRIKE, np.zeros(3))),
+                 desk_problem(C_C=0.3, grid=_RAISED)], [], True))
 @settings(max_examples=150, deadline=None)
 def test_the_stacked_plan_is_each_members_lone_plan_bit_for_bit(stack):
     """Each member's row of a stacked plan is its lone ``plan`` bit for bit:
@@ -843,15 +851,17 @@ def test_the_stacked_plan_is_each_members_lone_plan_bit_for_bit(stack):
     ``step_coefficients`` at the raised nsub), rates, walls and start. The
     stacked stability bounds are ``stability_bound``'s; a member that fails
     its checks fails alone, with its lone error; and the stack warns as the
-    lone plans of its distinct members do, one after another."""
+    lone plans of its distinct members do, one after another: the planner
+    warns nothing itself and returns what each member would warn."""
     members, ties, substep = stack
     space = build_space_grid(members[0].grid)
-    (out, rows, stacks), messages = _recorded(lambda: solver._plan_stack(members, substep, ties))
+    (out, rows, findings, stacked), messages = _recorded(
+        lambda: solver._plan_stack(members, substep, ties))
+    assert messages == []
     lone = [_recorded(lambda: solver.plan(prob, substep, space)) for prob in members]
     distinct = {}
-    for prob, (_, said) in zip(members, lone):
-        distinct.setdefault(solver._plan_key(prob), said)
-    assert messages == [m for said in distinct.values() for m in said]
+    for i, (prob, (_, said)) in enumerate(zip(members, lone)):
+        assert findings[i] == (said if distinct.setdefault(solver._plan_key(prob), i) == i else [])
 
     nsub = {i: pl.nsub for i, (pl, _) in enumerate(lone) if isinstance(pl, solver.Plan)}
     for tie in ties:  # the rule ties follow: each raises its planned members to their largest
@@ -862,8 +872,7 @@ def test_the_stacked_plan_is_each_members_lone_plan_bit_for_bit(stack):
         if not isinstance(pl, solver.Plan):
             assert type(out[i]) is type(pl) and str(out[i]) == str(pl) and rows[i] is None
             continue
-        k, r = rows[i]
-        got = stacks[k].plan(r)
+        got = stacked.plan(rows[i])
         assert out[i] is None and got.nsub == nsub[i] and got.dtau == pl.dtau
         p = prob.effective_params()
         delta = pl.dtau / nsub[i]
@@ -903,6 +912,44 @@ def test_the_engine_counts_its_work(both_marches):
         solve_stack([prob, prob], substep=False)
         assert vars(solver._counts) == dict(members=2, plans=1, rows=1, substeps=261,
                                             node_updates=261 * 199, grids=1)
+
+
+def test_members_on_two_grids_plan_and_march_as_they_do_alone(both_marches):
+    """A stack over two grids that differ in n_time: each outcome is its
+    lone solve bit for bit (a tied pair's is that pair's, stacked alone),
+    the warnings come in member order across the grids, and the counters
+    show one plan per distinct posed member, one row per (member, nsub) and
+    one build per grid."""
+    coarse, fine = desk_grid(n_space=10, n_time=4), desk_grid(n_space=10, n_time=20)
+    members = [desk_problem(q_S=0.2, grid=fine),      # condition 4 warning
+               desk_problem(C_C=0.1, grid=coarse),    # cost-sink warning
+               desk_problem(C_C=0.1, grid=fine),      # cost-sink warning, another weight
+               desk_problem(sigma=0.3, grid=coarse),  # nsub 2
+               desk_problem(sigma=0.02, grid=coarse),  # breaks condition 1
+               desk_problem(q_S=0.2, grid=fine),      # a duplicate of member 0
+               desk_problem(grid=coarse)]             # nsub 1, tied to member 3
+    ties = [(3, 6)]
+    lone = [_recorded(lambda: solver.plan(prob))[1] for prob in members]
+    assert all(lone[k] for k in (0, 1, 2)) and lone[1] != lone[2]
+    for _ in both_marches():
+        for time_index in (None, -1):
+            solver._counts.reset()
+            outs, messages = _recorded(
+                lambda: solver._solve_stack(members, time_index, ties=ties))
+            assert messages == lone[0] + lone[1] + lone[2]
+            # rows at nsub 1, 2 and 2 over 4 levels, and two at nsub 1 over 20
+            assert vars(solver._counts) == dict(members=7, plans=5, rows=5, substeps=60,
+                                                node_updates=60 * 9, grids=2)
+            pair, _ = _recorded(lambda: solver._solve_stack([members[3], members[6]],
+                                                            time_index, ties=[(0, 1)]))
+            for i, out in enumerate(outs):
+                want = (pair[0] if i == 3 else pair[1] if i == 6
+                        else _recorded(lambda: solve_stack([members[i]], time_index))[0][0])
+                if isinstance(want, EngineError):
+                    assert type(out) is type(want) and str(out) == str(want)
+                else:
+                    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+            assert isinstance(outs[4], WellPosednessViolation)
 
 
 # --- Duplicate members ---
