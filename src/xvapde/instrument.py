@@ -41,6 +41,18 @@ class Instrument:
             raise ValueError(f"strike must be a finite number, got {self.strike!r}")
         if not self.strike > 0.0:
             raise ValueError("strike must be positive")
+        if self.custom_payoff is None:
+            return
+        try:  # a list of finite numbers; payoff checks its length against the grid
+            g = np.asarray(self.custom_payoff, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("custom_payoff must be a list of numbers") from None
+        if g.ndim != 1:
+            raise ValueError(f"custom_payoff must be a list of numbers, got shape {g.shape}")
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"custom_payoff[{k}] must be a finite number, got {float(g[k])!r}")
 
 
 def payoff(inst: Instrument, grid: SpaceGrid) -> np.ndarray:

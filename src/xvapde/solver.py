@@ -25,12 +25,14 @@ the weights (a, b, c), the three source rates and the wall curves. The
 march then only does arithmetic. Every solve is a stack: ``solve`` is a
 stack of one, ``solve_stack`` and ``solve_pairs`` take many. A stack is
 split by grid once, and ``_plan_stack`` plans the distinct members of one
-grid in one pass of column-broadcast numpy, one row per member, with each
-element computed as a lone plan computes it; it returns each member's
-warning texts rather than warning. Members that would plan to the same
-bits (the RiskFree twins of a credit or cost sweep) plan once and, at one
-nsub, march once. Every grid plans before any marches; the warnings then
-come in member order, located at the caller's line outside the package.
+grid in one pass of column-broadcast numpy, one row for each (member,
+nsub) that marches, with each element computed as a lone plan computes
+it; it checks each row's step for monotonicity once, at the nsub the row
+marches, and returns each member's warning texts rather than warning.
+Members that would plan to the same bits (the RiskFree twins of a credit
+or cost sweep) plan once and, at one nsub, march once. Every grid plans
+before any marches; the warnings then come in member order, located at
+the caller's line outside the package.
 
 The march is a compiled C kernel (``_march.c``, built on first use and
 loaded with ctypes; see ``_kernel``): one call per grid marches every row
@@ -59,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvio import write_rows
-from .errors import EngineError, MissingPayoff, ModelAssumptionWarning, NonFiniteValue
+from .errors import EngineError, ModelAssumptionWarning, NonFiniteValue
 from .grid import GridSpec, SpaceGrid, _stability_bounds, build_space_grid, build_time_grid
 from .instrument import Instrument, boundary_curves, curve_values, payoff
 from .model import (
@@ -89,8 +91,8 @@ class Problem:
     """A full pricing scenario.
 
     condition1 is enforced on the variant-filtered parameters when the solve
-    starts; conditions 2 and 4 only warn. condition2_c is the contraction
-    constant the caller wants condition 2 checked with.
+    starts; conditions 2 and 4 only warn. condition2_c is the finite
+    contraction constant the caller wants condition 2 checked with.
     """
 
     params: ModelParams
@@ -103,6 +105,8 @@ class Problem:
     def __post_init__(self):
         if self.drift_discretization not in DRIFT_MODES:
             raise ValueError(f"drift_discretization must be one of {DRIFT_MODES}")
+        if not math.isfinite(self.condition2_c):
+            raise ValueError(f"condition2_c must be a finite number, got {self.condition2_c!r}")
 
     def effective_params(self) -> ModelParams:
         return self.variant.apply(self.params)
@@ -249,14 +253,14 @@ class _Stack(NamedTuple):
 
 
 class _Member(NamedTuple):
-    """What the plan of one distinct member of a stack reads, once its
-    checks pass: walls and start are None when its payoff failed."""
+    """What the rows of one distinct member of a stack read, once its checks
+    pass and its walls and payoff are built."""
 
     scalars: tuple[float, float, float]  # sig2, drift, r
     forward: bool  # whether its drift is differenced forward
     rates: tuple[float, float, float]
-    walls: tuple | None
-    start: np.ndarray | None
+    walls: tuple
+    start: np.ndarray
 
 
 class _Counts:
@@ -299,8 +303,8 @@ def _advisories(prob: Problem, p: ModelParams) -> list[str]:
 
 def _check_monotone(grid: SpaceGrid, a: np.ndarray, b: np.ndarray, c: np.ndarray, delta,
                     rates: list[tuple[float, float, float]]) -> list[list[str]]:
-    """The warnings of each member whose step is not monotone once the
-    source is counted: a, b and c hold K rows of weights, delta is a (K, 1)
+    """The warnings of each row whose step is not monotone once the source
+    is counted: a, b and c hold K rows of weights, delta is a (K, 1)
     column (a float when K is 1) and rates the K triples of source rates.
 
     a and c only go negative when the forward-differenced drift is negative
@@ -323,7 +327,7 @@ def _check_monotone(grid: SpaceGrid, a: np.ndarray, b: np.ndarray, c: np.ndarray
 
 def _monotone_messages(grid: SpaceGrid, a: np.ndarray, c: np.ndarray, upper: np.ndarray,
                        centre: np.ndarray) -> list[str]:
-    """One member's warnings: for each check, its first node with a
+    """One row's warnings: for each check, its first node with a
     negative weight and the first of its weights negative there. ``upper``
     is c - delta*kappa/h_f and ``centre`` b - delta*(max(rho+, rho-, 0) +
     kappa/h_f)."""
@@ -348,17 +352,15 @@ def _monotone_messages(grid: SpaceGrid, a: np.ndarray, c: np.ndarray, upper: np.
     return messages
 
 
-def plan(prob: Problem, substep: bool = True, grid: SpaceGrid | None = None) -> Plan:
+def plan(prob: Problem, substep: bool = True) -> Plan:
     """Check the problem and build everything its march needs, once.
 
     Splits each reporting step into ceil(dtau / stability_bound) equal
-    sub-steps unless substep is False. ``grid`` may pass in the already
-    built grid of ``prob.grid``. Raises WellPosednessViolation when the
-    variant-filtered parameters break condition 1. The one-member case of
-    ``_plan_stack``.
+    sub-steps unless substep is False. Raises WellPosednessViolation when
+    the variant-filtered parameters break condition 1. The one-member case
+    of ``_plan_stack``.
     """
-    out, _, findings, stack = _plan_stack([prob], substep, (),
-                                          None if grid is None else {prob.grid: grid})
+    out, _, findings, stack = _plan_stack([prob], substep)
     _warn(findings)
     solved(out[0])
     return stack.plan(0)
@@ -370,21 +372,23 @@ def _plan_stack(problems, substep: bool = True, ties=(),
     broadcast pass, and warn nothing.
 
     Members with equal ``_plan_key`` plan once. Each distinct member is
-    checked alone, so one that breaks condition 1, or whose grid or payoff
-    cannot be built, fails alone. Then one pass takes every member's
-    stability bound and nsub; ``ties`` (tuples of member indices) raise
-    tied members to the largest nsub among them, since a larger nsub only
-    shrinks the sub-step; and a second pass builds the weights and the
-    monotone check of every distinct (member, nsub) row. Each element is
-    computed as a lone plan computes it.
+    checked alone, so one that breaks condition 1, or whose grid, walls or
+    payoff cannot be built, fails alone; the walls and payoff are built
+    after the condition checks that warn, as in a lone plan. Then one pass
+    takes every member's stability bound and nsub; ``ties`` (tuples of
+    member indices) raise tied members to the largest nsub among them,
+    since a larger nsub only shrinks the sub-step; and a second pass builds
+    the weights of every row, one per distinct (member, nsub) that marches,
+    in member order, and checks each row's step for monotonicity once. Each
+    element is computed as a lone plan computes it.
 
     Returns (out, rows, findings, stack): out[i] is member i's planning
     error or None, rows[i] the row of ``stack`` that member i marches on,
-    or None, and findings[i] its warning texts, empty for a duplicate: its
-    condition warnings, then its monotone ones, taken at its own nsub as
-    its lone plan takes them. ``stack`` is None when no member marches.
-    ``grids`` holds grids already built, by spec; the planner adds the one
-    it builds.
+    or None, and findings[i] its warning texts: its condition warnings if
+    it is a distinct member, then, if it is the first member to march its
+    row, that row's monotone warnings, taken at the nsub the row marches.
+    ``stack`` is None when no member marches. ``grids`` holds grids already
+    built, by spec; the planner adds the one it builds.
     """
     grids = {} if grids is None else grids
     spec = problems[0].grid
@@ -408,16 +412,12 @@ def _plan_stack(problems, substep: bool = True, ties=(),
                 grid = grids[spec] = build_space_grid(spec)
                 _counts.grids += 1
             sig2, drift = variance_and_drift(p)  # condition 1 raises here
+            findings[i] = _advisories(prob, p)  # kept when the walls or payoff fail
+            walls, start = boundary_curves(prob.instrument, grid, p), payoff(prob.instrument, grid)
         except EngineError as exc:
             out[i] = exc
             continue
-        findings[i] = _advisories(prob, p)
-        try:
-            walls, start = boundary_curves(prob.instrument, grid, p), payoff(prob.instrument, grid)
-            _counts.plans += 1
-        except MissingPayoff as exc:  # after the checks that warn, as in a lone plan
-            out[i] = exc
-            walls = start = None
+        _counts.plans += 1
         checked[i] = _Member((sig2, drift, p.r), prob.drift_discretization == "forward"
                              or drift >= 0.0, source_rates(p), walls, start)
     _counts.members += len(problems)
@@ -430,18 +430,14 @@ def _plan_stack(problems, substep: bool = True, ties=(),
         bounds = _stability_bounds(grid, *_columns([m.scalars for m in checked.values()]))
         own = {i: max(1, math.ceil(dtau / bound)) if math.isfinite(bound) else 1
                for i, bound in zip(checked, bounds)}
-    nsub = {i: own[h] for i, h in enumerate(head_of) if h in own and out[h] is None}
+    nsub = {i: own[h] for i, h in enumerate(head_of) if h in own}
     for tie in ties:
         tied = [i for i in tie if i in nsub]
         nsub.update(dict.fromkeys(tied, max((nsub[i] for i in tied), default=1)))
 
-    # the rows: the marched ones in member order, then any that only a
-    # monotone check at a member's own nsub needs
-    layout: dict = {}  # (member, nsub) -> row
+    layout: dict = {}  # (member, nsub) -> (row, the first member that marches it)
     for i, n in nsub.items():
-        rows[i] = layout.setdefault((head_of[i], n), len(layout))
-    marched = len(layout)
-    check = [layout.setdefault(row, len(layout)) for row in own.items()]
+        rows[i] = layout.setdefault((head_of[i], n), (len(layout), i))[0]
     members = [checked[h] for h, _ in layout]
     delta = [dtau / n for _, n in layout]
     sig2, drift, r, dt = _columns([m.scalars + (d,) for m, d in zip(members, delta)])
@@ -449,18 +445,12 @@ def _plan_stack(problems, substep: bool = True, ties=(),
     a, b, c = [w.reshape(len(members), -1) for w in _coefficients(
         grid, sig2, drift, r, dt, True if all(forward) else np.array(forward)[:, None])]
     rates = [m.rates for m in members]
-    weights = (a, b, c, dt, rates)
-    if check != list(range(len(layout))):  # check each member at its own nsub
-        weights = (a[check], b[check], c[check], dt[check], [rates[k] for k in check])
-    for i, said in zip(checked, _check_monotone(grid, *weights)):
+    for (_, i), said in zip(layout.values(), _check_monotone(grid, a, b, c, dt, rates)):
         findings[i] += said
-    if not marched:
-        return out, rows, findings, None
     return out, rows, findings, _Stack(
-        grid=grid, dtau=dtau, nsub=np.array([n for _, n in layout][:marched]),
-        delta=np.array(delta[:marched]), a=a[:marched], b=b[:marched], c=c[:marched],
-        rates=np.array(rates[:marched]), walls=np.array([m.walls for m in members[:marched]]),
-        start=np.array([m.start for m in members[:marched]]))
+        grid=grid, dtau=dtau, nsub=np.array([n for _, n in layout]), delta=np.array(delta),
+        a=a, b=b, c=c, rates=np.array(rates), walls=np.array([m.walls for m in members]),
+        start=np.array([m.start for m in members]))
 
 
 def _warn(findings) -> None:

@@ -1,6 +1,7 @@
 """Stencil greeks, bump greeks, and hedge notionals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from xvapde import (
     GridSpec,
     Instrument,
     InvalidSpec,
+    ModelAssumptionWarning,
     ModelVariant,
     Surface,
     WellPosednessViolation,
@@ -179,6 +181,25 @@ def test_vega_bumps_across_a_sub_step_boundary_share_one_nsub():
     report = greeks_report(crossing, eps_sigma=1e-4, eps_r=1e-4)
     np.testing.assert_array_equal(report.vega, vega)
     np.testing.assert_array_equal(report.rho, bump_greek(crossing, "rho", eps=1e-4))
+
+
+def test_a_tied_bump_warns_only_about_the_step_it_marches():
+    """At n_time = 4 and sigma = 0.15055 the down-bump alone plans 113
+    sub-steps, where its centre weight goes negative, but marches at its
+    up-bump's 117, where it does not; a larger nsub only shrinks the step.
+    The down-bump's lone plan warns; vega and the report do not."""
+    prob = desk_problem(sigma=0.15055, grid=desk_grid(n_time=4))
+    up = desk_problem(sigma=0.15055 + DEFAULT_EPS["vega"], grid=prob.grid)
+    dn = desk_problem(sigma=0.15055 - DEFAULT_EPS["vega"], grid=prob.grid)
+    assert solver.plan(up).nsub == 117
+    with pytest.warns(ModelAssumptionWarning) as caught:
+        assert solver.plan(dn).nsub == 113
+    assert [str(w.message).split(" < 0")[0] for w in caught] == [
+        "non-monotone explicit step: b - delta*(max(rho+, rho-, 0) + kappa/h_f) = -0.00031527"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bump_greek(prob, "vega")
+        greeks_report(prob)
 
 
 # --- Reports ---

@@ -38,6 +38,26 @@ def test_rejects_non_finite_strike(value):
         Instrument(kind="call", strike=value)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rejects_a_non_finite_custom_payoff_sample(value):
+    samples = np.zeros(11)
+    samples[3] = value
+    with pytest.raises(ValueError, match=rf"^custom_payoff\[3\] must be a finite number, "
+                                         rf"got {value!r}$"):
+        Instrument("custom", STRIKE, custom_payoff=samples)
+    with pytest.raises(ValueError, match=r"^custom_payoff\[3\]"):
+        Instrument("custom", STRIKE, custom_payoff=samples.tolist())
+
+
+@pytest.mark.parametrize("samples, match", [
+    (["a"] * 11, r"^custom_payoff must be a list of numbers$"),
+    (np.zeros((11, 1)), r"^custom_payoff must be a list of numbers, got shape \(11, 1\)$"),
+    (1.0, r"^custom_payoff must be a list of numbers, got shape \(\)$")])
+def test_rejects_a_custom_payoff_that_is_not_a_list_of_numbers(samples, match):
+    with pytest.raises(ValueError, match=match):
+        Instrument("custom", STRIKE, custom_payoff=samples)
+
+
 # --- Payoffs ---
 
 def test_call_payoff_hinge():

@@ -70,6 +70,12 @@ def test_rejects_unknown_drift_discretization():
                 instrument=Instrument("call", STRIKE), drift_discretization="central")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rejects_a_non_finite_contraction_constant(value):
+    with pytest.raises(ValueError, match=f"^condition2_c must be a finite number, got {value!r}$"):
+        replace(desk_problem(), condition2_c=value)
+
+
 def test_effective_params_applies_the_variant():
     prob = desk_problem(variant=ModelVariant.RISK_FREE)
     assert prob.effective_params().lambda_B == 0.0
@@ -833,44 +839,52 @@ def _recorded(call):
 
 
 # a tie that raises a member with a cost-sink warning from nsub 1 to 4; its
-# warning must still print its weight at nsub 1
+# warning must print its weight at nsub 4, the step it marches
 _RAISED = desk_grid(n_space=10, n_time=4)
 
 
 @given(stack=planner_stacks())
 @example(stack=([desk_problem(C_C=0.1, grid=_RAISED), desk_problem(sigma=0.5, grid=_RAISED)],
                 [(0, 1)], True))
-# a member whose payoff fails ahead of one that marches keeps its own monotone warning
+# a member whose payoff fails ahead of one that marches emits only its condition
+# warnings, and the one that marches its own monotone warning
 @example(stack=([replace(desk_problem(C_C=0.1, grid=_RAISED),
                          instrument=Instrument("custom", STRIKE, np.zeros(3))),
                  desk_problem(C_C=0.3, grid=_RAISED)], [], True))
+# a duplicate raised onto a row of its own is the first to march that row, so it
+# carries the row's monotone warning, and its head only its own row's
+@example(stack=([desk_problem(C_C=0.1, grid=_RAISED), desk_problem(C_C=0.1, grid=_RAISED),
+                 desk_problem(sigma=0.5, grid=_RAISED)], [(1, 2)], True))
 @settings(max_examples=150, deadline=None)
 def test_the_stacked_plan_is_each_members_lone_plan_bit_for_bit(stack):
     """Each member's row of a stacked plan is its lone ``plan`` bit for bit:
     nsub (raised to the largest of its ties), delta, the weights (those of
     ``step_coefficients`` at the raised nsub), rates, walls and start. The
     stacked stability bounds are ``stability_bound``'s; a member that fails
-    its checks fails alone, with its lone error; and the stack warns as the
-    lone plans of its distinct members do, one after another: the planner
-    warns nothing itself and returns what each member would warn."""
+    its checks fails alone, with its lone error; and the planner warns
+    nothing itself. It returns, for each member, its condition warnings as
+    its lone plan warns them if it is a distinct member, then, if it is the
+    first member to march its row, that row's monotone warnings at the
+    row's delta."""
     members, ties, substep = stack
     space = build_space_grid(members[0].grid)
     (out, rows, findings, stacked), messages = _recorded(
         lambda: solver._plan_stack(members, substep, ties))
     assert messages == []
-    lone = [_recorded(lambda: solver.plan(prob, substep, space)) for prob in members]
-    distinct = {}
-    for i, (prob, (_, said)) in enumerate(zip(members, lone)):
-        assert findings[i] == (said if distinct.setdefault(solver._plan_key(prob), i) == i else [])
+    lone = [_recorded(lambda: solver.plan(prob, substep)) for prob in members]
 
     nsub = {i: pl.nsub for i, (pl, _) in enumerate(lone) if isinstance(pl, solver.Plan)}
     for tie in ties:  # the rule ties follow: each raises its planned members to their largest
         tied = [i for i in tie if i in nsub]
         for i in tied:
             nsub[i] = max(nsub[k] for k in tied)
-    for i, (prob, (pl, _)) in enumerate(zip(members, lone)):
+    distinct, marched = {}, set()
+    for i, (prob, (pl, said)) in enumerate(zip(members, lone)):
+        expected = ([m for m in said if not m.startswith("non-monotone explicit step")]
+                    if distinct.setdefault(solver._plan_key(prob), i) == i else [])
         if not isinstance(pl, solver.Plan):
             assert type(out[i]) is type(pl) and str(out[i]) == str(pl) and rows[i] is None
+            assert findings[i] == expected
             continue
         got = stacked.plan(rows[i])
         assert out[i] is None and got.nsub == nsub[i] and got.dtau == pl.dtau
@@ -883,6 +897,10 @@ def test_the_stacked_plan_is_each_members_lone_plan_bit_for_bit(stack):
             assert np.array(getattr(got, name)).tobytes() == np.array(want).tobytes(), name
         assert pl.nsub == (max(1, math.ceil(pl.dtau / stability_bound(space, p)))
                            if substep else 1)
+        if rows[i] not in marched:  # the first member to march its row
+            marched.add(rows[i])
+            expected += monotone_warnings(space, *weights, delta, pl.rates)
+        assert findings[i] == expected
 
     posed = [prob.effective_params() for prob, (pl, _) in zip(members, lone)
              if isinstance(pl, solver.Plan)]
@@ -1130,12 +1148,11 @@ def test_members_with_one_plan_key_plan_to_the_same_bits(variant, redrawn, data)
         assert same
     if not same:
         return
-    space = build_space_grid(grid)
     plans, messages = [], []
     for prob in (first, second):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            plans.append(solver.plan(prob, grid=space))
+            plans.append(solver.plan(prob))
         messages.append([str(w.message) for w in caught])
     assert messages[0] == messages[1]
     for name in ("a", "b", "c", "rates", "walls", "start", "dtau", "delta", "nsub"):
