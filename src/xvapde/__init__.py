@@ -6,8 +6,8 @@ PDE: trading costs on the share shrink the effective variance, and
 funding/credit exposure plus counterparty-bond rebalancing costs enter as a
 nonlinear source. The solver marches the payoff backward on a sinh-stretched
 log-price grid with an explicit scheme that sub-steps itself below its
-stability bound; variants of one scenario share their grid build and
-march one row at a time.
+stability bound; variants of one scenario share their grid build, and
+all of a grid's rows march in one kernel call.
 
 The package imports lazily (PEP 562): ``import xvapde`` loads no submodule
 and no numpy, and the first read of any public name binds all of them at
@@ -28,7 +28,7 @@ _EXPORTS = {
     "instrument": ("Instrument",),
     "model": ("ConditionReport", "ModelParams", "ModelVariant", "check_condition1",
               "cpty_cost_rate", "modified_variance", "turnover_factor", "validity_checks"),
-    "solver": ("Problem", "Surface", "solve", "solve_pairs", "solve_stack"),
+    "solver": ("Problem", "Surface", "solve", "solve_stack"),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

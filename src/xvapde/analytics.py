@@ -18,9 +18,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .csvio import write_rows
+from .errors import EngineError
 from .grid import build_space_grid
 from .model import ModelParams, ModelVariant
-from .solver import Problem, _solve_pairs, solve_pairs, solved
+from .solver import Problem, _solve_stack, solved
 
 __all__ = ["closed_form_call", "closed_form_call_delta", "cva_rows", "cva_profile",
            "compare_models", "sweep", "SweepResult"]
@@ -65,7 +66,8 @@ def _with_risk_free(prob: Problem) -> tuple[Problem, Problem]:
 
 def cva_rows(prob: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Terminal rows (price, risk-free price, price - risk-free price), per node."""
-    return solved(solve_pairs([_with_risk_free(prob)])[0])
+    price, risk_free = (solved(row) for row in _solve_stack(_with_risk_free(prob)))
+    return price, risk_free, price - risk_free
 
 
 def cva_profile(prob: Problem) -> np.ndarray:
@@ -79,8 +81,9 @@ def compare_models(prob: Problem) -> np.ndarray:
     Both solves are ``prob`` under those variants; ``prob.variant`` is not
     read. Nonnegative for convex payoffs: every cost term lowers the seller's price.
     """
-    pair = (replace(prob, variant=ModelVariant.BK), replace(prob, variant=ModelVariant.BKTC))
-    return solved(solve_pairs([pair])[0])[2]
+    bk, bktc = (solved(row) for row in _solve_stack(
+        [replace(prob, variant=ModelVariant.BK), replace(prob, variant=ModelVariant.BKTC)]))
+    return bk - bktc
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +126,7 @@ def sweep(base: Problem, parameter: str, values) -> SweepResult:
     vals = tuple(float(v) for v in values)
     if len(vals) == 0:
         raise ValueError("sweep needs at least one value")
-    if any(b <= a for a, b in zip(vals, vals[1:])):
+    if any(not b > a for a, b in zip(vals, vals[1:])):  # a NaN breaks the order too
         raise ValueError("sweep values must be strictly increasing")
 
     grid = build_space_grid(base.grid)
@@ -136,11 +139,14 @@ def sweep(base: Problem, parameter: str, values) -> SweepResult:
             outcomes[v] = exc
             continue
         pairs[v] = _with_risk_free(prob)
-    outcomes.update(zip(pairs, _solve_pairs(list(pairs.values()), {base.grid: grid})))
+    rows = _solve_stack([m for pair in pairs.values() for m in pair], grids={base.grid: grid})
+    for v, price, risk_free in zip(pairs, rows[::2], rows[1::2]):  # the first error, if any
+        errors = [row for row in (price, risk_free) if isinstance(row, EngineError)]
+        outcomes[v] = errors[0] if errors else (price, price - risk_free)
     failed = {v for v in vals if isinstance(outcomes[v], Exception)}
     return SweepResult(
         parameter=parameter, values=vals,
         prices=tuple(None if v in failed else outcomes[v][0] for v in vals),
-        cvas=tuple(None if v in failed else outcomes[v][2] for v in vals),
+        cvas=tuple(None if v in failed else outcomes[v][1] for v in vals),
         spots=grid.spots, variant=base.variant,
         errors={v: f"{type(outcomes[v]).__name__}: {outcomes[v]}" for v in vals if v in failed})

@@ -34,6 +34,11 @@ class GridSpec:
         for name in self.__dataclass_fields__:  # vars(self) would slow every later read
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("n_space", "n_time"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or count != int(count):
+                raise InvalidSpec(f"{name} must be a whole number, got {count!r}")
+            object.__setattr__(self, name, int(count))  # so 200.0 builds as 200 does
         if not self.x_minus < self.x_star < self.x_plus:
             raise InvalidSpec("need x_minus < x_star < x_plus")
         if not self.alpha > 0.0:

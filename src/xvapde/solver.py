@@ -23,11 +23,13 @@ A solve has two parts. The plan does everything that does not change with
 tau once: the condition checks, the grid, the sub-step count and size,
 the weights (a, b, c), the three source rates and the wall curves. The
 march then only does arithmetic. Every solve is a stack: ``solve`` is a
-stack of one, ``solve_stack`` and ``solve_pairs`` take many. A stack is
-split by grid once, and ``_plan_stack`` plans the distinct members of one
-grid in one pass of column-broadcast numpy, one row for each (member,
-nsub) that marches, with each element computed as a lone plan computes
-it; it checks each row's step for monotonicity once, at the nsub the row
+stack of one, ``solve_stack`` takes many, and the greeks, CVA, model
+comparison and sweeps each solve their variants in one stack and
+subtract rows. A stack is split by grid once, and ``_plan_stack`` plans
+the distinct members of one grid into one ``Plan`` in one pass of
+column-broadcast numpy, one row for each (member, nsub) that marches,
+each element computed as a lone plan (a ``Plan`` of one row) computes it.
+It checks each row's step for monotonicity once, at the nsub the row
 marches, and returns each member's warning texts rather than warning.
 Members that would plan to the same bits (the RiskFree twins of a credit
 or cost sweep) plan once and, at one nsub, march once. Every grid plans
@@ -78,7 +80,7 @@ from .model import (
 )
 
 __all__ = ["Problem", "Surface", "Plan", "plan", "step_coefficients", "source_rates",
-           "nonlinear_source", "step", "solve", "solve_stack", "solve_pairs", "solved"]
+           "nonlinear_source", "step", "solve", "solve_stack", "solved"]
 
 DRIFT_MODES = ("forward", "upwind")
 _PACKAGE = os.path.dirname(__file__) + os.sep  # the files whose frames a warning skips
@@ -205,32 +207,13 @@ def nonlinear_source(row: np.ndarray, grid: SpaceGrid, rates) -> np.ndarray:
             + np.abs((u[2:] - u[1:-1]) / grid.h[1:]) * cost_rate)
 
 
-@dataclass(frozen=True, eq=False)
-class Plan:
-    """What a march of one problem needs that does not change with tau.
-
-    ``walls`` holds the (lower, upper) Dirichlet curves of
-    ``boundary_curves``, each as the (P, p, Q, q) of P*exp(p*tau) -
-    Q*exp(q*tau); ``start`` is the payoff row at tau = 0.
-    """
-
-    grid: SpaceGrid
-    dtau: float
-    nsub: int
-    delta: float
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    rates: tuple[float, float, float]
-    walls: tuple
-    start: np.ndarray
-
-
-class _Stack(NamedTuple):
-    """The plans of the R rows of a stack on one grid: row r holds what a
-    ``Plan`` holds, with nsub and delta (R,), the weights a, b and c
-    (R, N-1), the rates (R, 3), the walls (R, 2, 4) and the start rows
-    (R, N+1)."""
+class Plan(NamedTuple):
+    """What the march of the R rows of a stack on one grid needs that does
+    not change with tau; a lone problem's plan is one row. Row r holds its
+    nsub and delta (R,), its weights a, b and c (R, N-1), its three source
+    rates (R, 3), its walls (R, 2, 4): the (lower, upper) Dirichlet curves
+    of ``boundary_curves``, each as the (P, p, Q, q) of P*exp(p*tau) -
+    Q*exp(q*tau), and its start row (R, N+1), the payoff at tau = 0."""
 
     grid: SpaceGrid
     dtau: float
@@ -242,14 +225,6 @@ class _Stack(NamedTuple):
     rates: np.ndarray
     walls: np.ndarray
     start: np.ndarray
-
-    def plan(self, r: int) -> Plan:
-        """Row r as a ``Plan``, its rates and walls as Python floats."""
-        lower, upper = self.walls[r].tolist()
-        return Plan(grid=self.grid, dtau=self.dtau, nsub=int(self.nsub[r]),
-                    delta=float(self.delta[r]), a=self.a[r], b=self.b[r], c=self.c[r],
-                    rates=tuple(self.rates[r].tolist()), walls=(tuple(lower), tuple(upper)),
-                    start=self.start[r])
 
 
 class _Member(NamedTuple):
@@ -353,7 +328,8 @@ def _monotone_messages(grid: SpaceGrid, a: np.ndarray, c: np.ndarray, upper: np.
 
 
 def plan(prob: Problem, substep: bool = True) -> Plan:
-    """Check the problem and build everything its march needs, once.
+    """Check the problem and build everything its march needs, once: a
+    ``Plan`` of one row.
 
     Splits each reporting step into ceil(dtau / stability_bound) equal
     sub-steps unless substep is False. Raises WellPosednessViolation when
@@ -363,7 +339,7 @@ def plan(prob: Problem, substep: bool = True) -> Plan:
     out, _, findings, stack = _plan_stack([prob], substep)
     _warn(findings)
     solved(out[0])
-    return stack.plan(0)
+    return stack
 
 
 def _plan_stack(problems, substep: bool = True, ties=(),
@@ -447,7 +423,7 @@ def _plan_stack(problems, substep: bool = True, ties=(),
     rates = [m.rates for m in members]
     for (_, i), said in zip(layout.values(), _check_monotone(grid, a, b, c, dt, rates)):
         findings[i] += said
-    return out, rows, findings, _Stack(
+    return out, rows, findings, Plan(
         grid=grid, dtau=dtau, nsub=np.array([n for _, n in layout]), delta=np.array(delta),
         a=a, b=b, c=c, rates=np.array(rates), walls=np.array([m.walls for m in members]),
         start=np.array([m.start for m in members]))
@@ -474,7 +450,7 @@ def _has_source(rates) -> bool:
     return bool(np.asarray(rates, dtype=float).view(np.int64).any())
 
 
-def _march(st: _Stack, rows: np.ndarray, first: int, last: int, keep: int | None) -> list:
+def _march(st: Plan, rows: np.ndarray, first: int, last: int, keep: int | None) -> list:
     """March row r of ``st`` from ``rows[r]`` at level ``first`` to level
     ``last``, for every row.
 
@@ -495,7 +471,7 @@ def _march(st: _Stack, rows: np.ndarray, first: int, last: int, keep: int | None
     _counts.node_updates += substeps * st.a.shape[1]
     lib = _kernel.library()
     if lib is None:
-        return [_march_numpy(st.plan(r), row, first, last, keep) for r, row in enumerate(rows)]
+        return [_march_numpy(st, r, row, first, last, keep) for r, row in enumerate(rows)]
     x = np.array(rows, dtype=float)
     n_rows, width = x.shape
     nsub = np.ascontiguousarray(st.nsub, dtype=np.int64)
@@ -517,15 +493,17 @@ def _march(st: _Stack, rows: np.ndarray, first: int, last: int, keep: int | None
             else kept[r, 0] for r, e in enumerate(bad.tolist())]
 
 
-def _march_numpy(pl: Plan, row: np.ndarray, first: int, last: int, keep: int | None):
-    """One row of ``_march`` in numpy, one sub-step at a time: a*x[i-1] + b*x[i] +
+def _march_numpy(st: Plan, r: int, row: np.ndarray, first: int, last: int, keep: int | None):
+    """Row r of ``_march`` in numpy, one sub-step at a time: a*x[i-1] + b*x[i] +
     c*x[i+1], less the source times delta unless the row is zero-source
     (see ``_has_source``), then the walls of ``curve_values`` at the
     sub-step's tau, and a finiteness check that names the first non-finite
     node. Without the source, a zero-source row's error names the first
     node where the linear update itself overflows."""
     x, y = np.array(row, dtype=float), np.empty(len(row))
-    has_source = _has_source(pl.rates)
+    a, b, c, walls = st.a[r], st.b[r], st.c[r], st.walls[r].tolist()
+    nsub, delta, rates = int(st.nsub[r]), float(st.delta[r]), tuple(st.rates[r].tolist())
+    has_source = _has_source(rates)
     record = range(first, last + 1) if keep is None else range(keep, keep + 1)
     kept = np.empty((len(record), len(x)))
     # non-finiteness is detected below; let an unstable march overflow quietly
@@ -536,11 +514,11 @@ def _march_numpy(pl: Plan, row: np.ndarray, first: int, last: int, keep: int | N
             if m == last:
                 break
             # land the final sub-step of each level exactly on the reporting level
-            taus = [m * pl.dtau + j * pl.delta for j in range(1, pl.nsub)] + [(m + 1) * pl.dtau]
-            for lo, hi in zip(*curve_values(pl.walls, taus)):
-                y[1:-1] = pl.a * x[:-2] + pl.b * x[1:-1] + pl.c * x[2:]
+            taus = [m * st.dtau + j * delta for j in range(1, nsub)] + [(m + 1) * st.dtau]
+            for lo, hi in zip(*curve_values(walls, taus)):
+                y[1:-1] = a * x[:-2] + b * x[1:-1] + c * x[2:]
                 if has_source:
-                    y[1:-1] -= nonlinear_source(x, pl.grid, pl.rates) * pl.delta
+                    y[1:-1] -= nonlinear_source(x, st.grid, rates) * delta
                 y[0], y[-1] = lo, hi
                 finite = np.isfinite(y)
                 if not finite.all():
@@ -668,22 +646,3 @@ def _duplicate(outcome):
     """A copy of one member's outcome for its duplicate: the rows, or an
     error of the same type and message."""
     return copy.copy(outcome) if isinstance(outcome, EngineError) else outcome.copy()
-
-
-def solve_pairs(pairs) -> list:
-    """Solve every (first, second) pair of variants, then subtract.
-
-    One outcome per pair: the terminal rows (first, second, first - second),
-    or the error of the first member that failed.
-    """
-    return _solve_pairs(pairs)
-
-
-def _solve_pairs(pairs, grids: dict[GridSpec, SpaceGrid] | None = None) -> list:
-    """``solve_pairs``, with the ``grids`` of ``_solve_stack``."""
-    rows = _solve_stack([prob for pair in pairs for prob in pair], grids=grids)
-    out = []
-    for first, second in zip(rows[::2], rows[1::2]):
-        failed = [r for r in (first, second) if isinstance(r, EngineError)]
-        out.append(failed[0] if failed else (first, second, first - second))
-    return out

@@ -168,8 +168,9 @@ def test_sweep_rejects_bad_requests():
         sweep(prob, "strike", [1.0, 2.0])
     with pytest.raises(ValueError, match="at least one"):
         sweep(prob, "lambda_C", [])
-    with pytest.raises(ValueError, match="strictly increasing"):
-        sweep(prob, "lambda_C", [0.02, 0.01])
+    for values in ([0.02, 0.01], [0.02, math.nan, 0.01], [math.nan, 0.01]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep(prob, "lambda_C", values)
 
 
 def test_sweep_records_failures_and_keeps_going():

@@ -26,7 +26,7 @@ PUBLIC = [
     "SpaceGrid", "Surface", "SweepResult", "WellPosednessViolation", "build_space_grid",
     "check_condition1", "closed_form_call", "closed_form_call_delta", "compare_models",
     "cpty_cost_rate", "cva_profile", "greeks_report", "hedge_notionals",
-    "modified_variance", "solve", "solve_pairs", "solve_stack", "stability_bound", "sweep",
+    "modified_variance", "solve", "solve_stack", "stability_bound", "sweep",
     "turnover_factor", "validity_checks",
 ]
 
@@ -70,7 +70,6 @@ PARAMETERS = {
     "hedge_notionals": ["surface", "p", "time_index"],
     "modified_variance": ["p"],
     "solve": ["prob", "substep"],
-    "solve_pairs": ["pairs"],
     "solve_stack": ["problems", "time_index", "substep"],
     "stability_bound": ["grid", "p"],
     "sweep": ["base", "parameter", "values"],
@@ -186,7 +185,6 @@ def test_library_warnings_name_the_callers_line():
     calls = {
         "solve": lambda: xvapde.solve(prob),
         "solve_stack": lambda: xvapde.solve_stack([prob, prob]),
-        "solve_pairs": lambda: xvapde.solve_pairs([(prob, prob)]),
         "greeks_report": lambda: xvapde.greeks_report(prob),
         "bump_greek": lambda: greeks.bump_greek(prob, "vega"),
         "cva_profile": lambda: xvapde.cva_profile(prob),

@@ -171,8 +171,8 @@ def test_vega_bumps_across_a_sub_step_boundary_share_one_nsub():
     grid = desk_grid(n_space=400)
     i = build_space_grid(grid).nearest_index(math.log(STRIKE))
     crossing = desk_problem(grid=grid, sigma=0.10325)
-    up = solver.plan(desk_problem(grid=grid, sigma=0.10335)).nsub
-    dn = solver.plan(desk_problem(grid=grid, sigma=0.10315)).nsub
+    up = int(solver.plan(desk_problem(grid=grid, sigma=0.10335)).nsub[0])
+    dn = int(solver.plan(desk_problem(grid=grid, sigma=0.10315)).nsub[0])
     assert up != dn
     vega = bump_greek(crossing, "vega", eps=1e-4)
     for sigma in (0.1031, 0.1034):
@@ -191,9 +191,9 @@ def test_a_tied_bump_warns_only_about_the_step_it_marches():
     prob = desk_problem(sigma=0.15055, grid=desk_grid(n_time=4))
     up = desk_problem(sigma=0.15055 + DEFAULT_EPS["vega"], grid=prob.grid)
     dn = desk_problem(sigma=0.15055 - DEFAULT_EPS["vega"], grid=prob.grid)
-    assert solver.plan(up).nsub == 117
+    assert int(solver.plan(up).nsub[0]) == 117
     with pytest.warns(ModelAssumptionWarning) as caught:
-        assert solver.plan(dn).nsub == 113
+        assert int(solver.plan(dn).nsub[0]) == 113
     assert [str(w.message).split(" < 0")[0] for w in caught] == [
         "non-monotone explicit step: b - delta*(max(rho+, rho-, 0) + kappa/h_f) = -0.00031527"]
     with warnings.catch_warnings():

@@ -40,12 +40,14 @@ def test_rejects_concentration_point_outside_domain():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("alpha", 0.0), ("n_space", 1), ("n_time", -1), ("horizon", 0.0)])
+    ("alpha", 0.0), ("n_space", 1), ("n_time", -1), ("horizon", 0.0),
+    # a count must be a whole number, not a fraction or a bool
+    ("n_space", 200.5), ("n_time", 2.5), ("n_space", True), ("n_time", False)])
 def test_rejects_degenerate_sizes(field, value):
     kw = dict(x_minus=0.0, x_plus=1.0, x_star=0.5, alpha=1.0,
               n_space=10, n_time=10, horizon=1.0)
     kw[field] = value
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match=f"^{field} must be"):
         GridSpec(**kw)
 
 
@@ -58,6 +60,15 @@ def test_rejects_non_finite_fields(field, value):
     kw[field] = value
     with pytest.raises(InvalidSpec, match=f"^{field} must be a finite number"):
         GridSpec(**kw)
+
+
+def test_a_whole_float_count_builds_as_its_integer():
+    spec = GridSpec(x_minus=0.0, x_plus=1.0, x_star=0.5, alpha=1.0,
+                    n_space=10.0, n_time=4.0, horizon=1.0)
+    assert (spec.n_space, spec.n_time) == (10, 4) and type(spec.n_time) is int
+    assert spec == GridSpec(x_minus=0.0, x_plus=1.0, x_star=0.5, alpha=1.0,
+                            n_space=10, n_time=4, horizon=1.0)
+    np.testing.assert_array_equal(build_time_grid(spec), np.linspace(0.0, 1.0, 5))
 
 
 def test_dtau_requires_time_steps():

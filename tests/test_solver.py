@@ -28,7 +28,6 @@ from xvapde import (
     greeks_report,
     modified_variance,
     solve,
-    solve_pairs,
     solve_stack,
     stability_bound,
     sweep,
@@ -40,6 +39,7 @@ from xvapde.model import negative_exposure_rate, positive_exposure_rate
 from xvapde.solver import DRIFT_MODES, nonlinear_source, source_rates, step, step_coefficients
 
 from xvapde import _kernel, model, solver
+from xvapde.analytics import compare_models, cva_rows
 
 from helpers import (
     STRIKE,
@@ -317,9 +317,9 @@ def test_non_monotone_forward_drift_warns_at_its_first_node(n_space, floor):
     prob = desk_problem(q_S=0.0, gamma_S=0.06, grid=desk_grid(n_space=n_space))
     with pytest.warns(ModelAssumptionWarning, match="non-monotone") as caught:
         pl = solver.plan(prob)
-    k = int(np.flatnonzero(np.minimum(pl.a, pl.c) < 0.0)[0])
+    k = int(np.flatnonzero(np.minimum(pl.a[0], pl.c[0]) < 0.0)[0])
     message = str(caught[0].message)
-    assert f"c = {pl.c[k]:.6g} < 0 at node {k + 1}" in message
+    assert f"c = {pl.c[0][k]:.6g} < 0 at node {k + 1}" in message
     assert "upwind" in message
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelAssumptionWarning)
@@ -333,23 +333,25 @@ def test_non_monotone_forward_drift_warns_at_its_first_node(n_space, floor):
 
 
 def _upper_weight_under_the_cost_sink(pl):
-    """c - delta*kappa/h_f: the weight on V[i+1] once the forward-differenced
-    cost sink is counted, where U_x > 0."""
-    return pl.c - pl.delta * pl.rates[2] / pl.grid.h[1:]
+    """c - delta*kappa/h_f of a lone plan: the weight on V[i+1] once the
+    forward-differenced cost sink is counted, where U_x > 0."""
+    return pl.c[0] - pl.delta[0] * pl.rates[0, 2] / pl.grid.h[1:]
 
 
 def test_desk_grid_step_is_monotone():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pl = solver.plan(desk_problem())
-    assert min(pl.a.min(), pl.c.min()) >= 0.0
+    assert min(pl.a[0].min(), pl.c[0].min()) >= 0.0
     assert _upper_weight_under_the_cost_sink(pl).min() >= 0.0
 
 
 def _centre_weight_under_the_source(pl):
-    """b - delta*(max(rho+, rho-, 0) + kappa/h_f): the weight on V[i] once the
-    exposure rates and the forward-differenced cost sink are counted."""
-    return pl.b - pl.delta * (max(pl.rates[0], pl.rates[1], 0.0) + pl.rates[2] / pl.grid.h[1:])
+    """b - delta*(max(rho+, rho-, 0) + kappa/h_f) of a lone plan: the weight on
+    V[i] once the exposure rates and the forward-differenced cost sink are
+    counted."""
+    pos, neg, cost = pl.rates[0].tolist()
+    return pl.b[0] - pl.delta[0] * (max(pos, neg, 0.0) + cost / pl.grid.h[1:])
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.2, 0.3])
@@ -368,7 +370,7 @@ def test_a_source_that_outweighs_b_warns_at_its_first_node():
     prob = desk_problem(sigma=0.2, grid=desk_grid(n_time=4))
     with pytest.warns(ModelAssumptionWarning, match="centre weight") as caught:
         pl = solver.plan(prob)
-    assert pl.nsub == 212 and pl.b.min() >= 0.0
+    assert int(pl.nsub[0]) == 212 and pl.b[0].min() >= 0.0
     weight = _centre_weight_under_the_source(pl)
     k = int(np.flatnonzero(weight < 0.0)[0])
     message = next(str(w.message) for w in caught if "centre weight" in str(w.message))
@@ -386,7 +388,7 @@ def test_a_cost_sink_that_outweighs_c_warns_at_its_first_node(C_C, n_space):
     prob = desk_problem(C_C=C_C, grid=desk_grid(n_space=n_space))
     with pytest.warns(ModelAssumptionWarning, match="cost sink") as caught:
         pl = solver.plan(prob)
-    assert min(pl.a.min(), pl.c.min()) >= 0.0
+    assert min(pl.a[0].min(), pl.c[0].min()) >= 0.0
     weight = _upper_weight_under_the_cost_sink(pl)
     k = int(np.flatnonzero(weight < 0.0)[0])
     message = next(str(w.message) for w in caught if "cost sink" in str(w.message))
@@ -511,16 +513,25 @@ def test_a_non_finite_member_does_not_poison_its_stack(both_marches):
             np.testing.assert_array_equal(good, solve(stable, substep=False).values)
 
 
-def test_pairs_subtract_and_report_their_first_failure():
+def test_cva_rows_and_compare_models_subtract_lone_solves(both_marches):
+    """A CVA is the lone solve and its lone RiskFree twin, and their
+    difference; the model gap is the lone BK row less the lone BKTC one,
+    bit for bit; an ill-posed member raises its own error."""
     base = desk_problem(grid=desk_grid(n_time=20))
     rf = desk_problem(variant=ModelVariant.RISK_FREE, grid=base.grid)
+    bk, bktc = (desk_problem(variant=v, grid=base.grid) for v in (ModelVariant.BK,
+                                                                   ModelVariant.BKTC))
     ill = desk_problem(sigma=0.02, grid=base.grid)
-    ok, failed = solve_pairs([(base, rf), (ill, rf)])
-    first, second, diff = ok
-    np.testing.assert_array_equal(first, solve(base).terminal)
-    np.testing.assert_array_equal(second, solve(rf).terminal)
-    np.testing.assert_array_equal(diff, first - second)
-    assert isinstance(failed, WellPosednessViolation)
+    for _ in both_marches():
+        first, second, diff = cva_rows(base)
+        np.testing.assert_array_equal(first, solve(base).terminal)
+        np.testing.assert_array_equal(second, solve(rf).terminal)
+        np.testing.assert_array_equal(diff, first - second)
+        np.testing.assert_array_equal(compare_models(base),
+                                      solve(bk).terminal - solve(bktc).terminal)
+        for call in (cva_rows, compare_models):
+            with pytest.raises(WellPosednessViolation):
+                call(ill)
 
 
 def _sigma_sweep_stack():
@@ -549,17 +560,18 @@ def test_each_row_makes_one_source_call_per_sub_step(monkeypatch):
     9, each member makes n_time * nsub source calls when it has a source
     and none when it is RiskFree."""
     members = _sigma_sweep_stack()
-    plans = [solver.plan(prob) for prob in members]
-    assert {pl.nsub for pl in plans} == set(range(1, 10))
-    assert len({pl.rates for pl in plans}) == len(members) // 2 + 1  # RiskFree share theirs
+    plans = [(int(pl.nsub[0]), tuple(pl.rates[0].tolist()))
+             for pl in map(solver.plan, members)]
+    assert {nsub for nsub, _ in plans} == set(range(1, 10))
+    assert len({rates for _, rates in plans}) == len(members) // 2 + 1  # RiskFree share theirs
     calls = _count_source_calls(monkeypatch)
     solve_stack(members)
     n_time = members[0].grid.n_time
-    for prob, pl in zip(members, plans):
+    for prob, (nsub, rates) in zip(members, plans):
         has_source = prob.variant is not ModelVariant.RISK_FREE
-        assert solver._has_source(pl.rates) is has_source
-        assert calls.count(pl.rates) == (n_time * pl.nsub if has_source else 0)
-    assert len(calls) == sum(n_time * pl.nsub for pl in plans[::2])
+        assert solver._has_source(rates) is has_source
+        assert calls.count(rates) == (n_time * nsub if has_source else 0)
+    assert len(calls) == sum(n_time * nsub for nsub, _ in plans[::2])
 
 
 def test_a_risk_free_solve_makes_no_source_call(monkeypatch):
@@ -571,11 +583,11 @@ def test_a_risk_free_solve_makes_no_source_call(monkeypatch):
     solve(desk_problem(variant=ModelVariant.RISK_FREE))
     assert calls == []
     negative_zero = desk_problem(s_F=0.0, R_C=1.0, R_B=1.0, lambda_B=0.0, C_B=0.01)
-    rates = solver.plan(negative_zero).rates
+    rates = tuple(solver.plan(negative_zero).rates[0].tolist())
     assert rates == (0.0, 0.0, 0.0) and [math.copysign(1.0, r) for r in rates] == [1, -1, 1]
     assert solver._has_source(rates) and not solver._has_source((0.0, 0.0, 0.0))
     solve(negative_zero)
-    assert len(calls) == negative_zero.grid.n_time * solver.plan(negative_zero).nsub
+    assert len(calls) == negative_zero.grid.n_time * int(solver.plan(negative_zero).nsub[0])
 
 
 @st.composite
@@ -683,7 +695,7 @@ def test_a_blow_up_inside_a_mixed_stack_stays_in_its_slot(both_marches):
     members = [wide, blow, rf, narrow]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelAssumptionWarning)
-        nsubs = [solver.plan(prob).nsub for prob in members]
+        nsubs = [int(solver.plan(prob).nsub[0]) for prob in members]
         assert nsubs[0] > nsubs[1] == 4 > nsubs[3]
         serial = {k: serial_solve(members[k]) for k in (0, 2, 3)}
         for _ in both_marches():
@@ -721,7 +733,7 @@ def test_non_finite_value_is_the_first_failing_sub_step(both_marches, overrides,
                desk_problem(variant=ModelVariant.RISK_FREE, sigma=0.3, grid=grid)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelAssumptionWarning)
-        assert solver.plan(blow, substep).nsub == nsub
+        assert int(solver.plan(blow, substep).nsub[0]) == nsub
         assert first_non_finite(blow, substep) == failure
         for _ in both_marches():
             with pytest.raises(NonFiniteValue) as lone:
@@ -873,7 +885,7 @@ def test_the_stacked_plan_is_each_members_lone_plan_bit_for_bit(stack):
     assert messages == []
     lone = [_recorded(lambda: solver.plan(prob, substep)) for prob in members]
 
-    nsub = {i: pl.nsub for i, (pl, _) in enumerate(lone) if isinstance(pl, solver.Plan)}
+    nsub = {i: int(pl.nsub[0]) for i, (pl, _) in enumerate(lone) if isinstance(pl, solver.Plan)}
     for tie in ties:  # the rule ties follow: each raises its planned members to their largest
         tied = [i for i in tie if i in nsub]
         for i in tied:
@@ -886,20 +898,21 @@ def test_the_stacked_plan_is_each_members_lone_plan_bit_for_bit(stack):
             assert type(out[i]) is type(pl) and str(out[i]) == str(pl) and rows[i] is None
             assert findings[i] == expected
             continue
-        got = stacked.plan(rows[i])
-        assert out[i] is None and got.nsub == nsub[i] and got.dtau == pl.dtau
+        r = rows[i]
+        assert out[i] is None and stacked.nsub[r] == nsub[i] and stacked.dtau == pl.dtau
         p = prob.effective_params()
         delta = pl.dtau / nsub[i]
         weights = (step_coefficients(space, p, delta, prob.drift_discretization)
-                   if nsub[i] != pl.nsub else (pl.a, pl.b, pl.c))
-        for name, want in [("delta", delta), *zip("abc", weights), ("rates", pl.rates),
-                           ("walls", pl.walls), ("start", pl.start)]:
-            assert np.array(getattr(got, name)).tobytes() == np.array(want).tobytes(), name
-        assert pl.nsub == (max(1, math.ceil(pl.dtau / stability_bound(space, p)))
-                           if substep else 1)
-        if rows[i] not in marched:  # the first member to march its row
-            marched.add(rows[i])
-            expected += monotone_warnings(space, *weights, delta, pl.rates)
+                   if nsub[i] != pl.nsub[0] else (pl.a[0], pl.b[0], pl.c[0]))
+        rates = tuple(pl.rates[0].tolist())
+        for name, want in [("delta", delta), *zip("abc", weights), ("rates", rates),
+                           ("walls", pl.walls[0]), ("start", pl.start[0])]:
+            assert np.array(getattr(stacked, name)[r]).tobytes() == np.array(want).tobytes(), name
+        assert pl.nsub[0] == (max(1, math.ceil(pl.dtau / stability_bound(space, p)))
+                              if substep else 1)
+        if r not in marched:  # the first member to march its row
+            marched.add(r)
+            expected += monotone_warnings(space, *weights, delta, rates)
         assert findings[i] == expected
 
     posed = [prob.effective_params() for prob, (pl, _) in zip(members, lone)
