@@ -58,8 +58,6 @@ def _load():
     lib.march_rows.restype = None
     lib.march_rows.argtypes = [_L, _L, _P, _L, _L, _D, _P, _P, _P, _P, _P, _P, _P, _P, _P,
                                _P, _L, _L, _P]
-    lib.walls_into.restype = None
-    lib.walls_into.argtypes = [_P, _P, _L, _P]
     return lib
 
 

@@ -76,15 +76,6 @@ static double wall(const double *coef, double tau) {
     return coef[0] * exp(coef[1] * tau) - coef[2] * exp(coef[3] * tau);
 }
 
-/* out[2*t], out[2*t + 1] = the lower and upper walls at taus[t];
- * walls holds (P, p, Q, q) of the lower wall, then of the upper */
-void walls_into(const double *walls, const double *taus, long n, double *out) {
-    for (long t = 0; t < n; t++) {
-        out[2 * t] = wall(walls, taus[t]);
-        out[2 * t + 1] = wall(walls + 4, taus[t]);
-    }
-}
-
 /* March the row x of n nodes (walls included) from level first to level
  * last, nsub sub-steps of size delta per level, with walls refreshed at
  * each sub-step's tau; y is scratch of n values. Level m is copied to

@@ -116,8 +116,8 @@ def sweep(base: Problem, parameter: str, values) -> SweepResult:
 
     Values must be strictly increasing. A member that fails (bad parameter
     value, ill-posed solve) is recorded under errors and the sweep moves on.
-    Every member and its RiskFree twin go through one stack on one grid
-    build; RiskFree twins that the swept parameter does not reach plan and
+    Every member and its RiskFree twin go through one stack on one grid;
+    RiskFree twins that the swept parameter does not reach plan and
     march once.
     """
     if parameter not in _PARAM_FIELDS:
@@ -139,7 +139,7 @@ def sweep(base: Problem, parameter: str, values) -> SweepResult:
             outcomes[v] = exc
             continue
         pairs[v] = _with_risk_free(prob)
-    rows = _solve_stack([m for pair in pairs.values() for m in pair], grids={base.grid: grid})
+    rows = _solve_stack([m for pair in pairs.values() for m in pair])
     for v, price, risk_free in zip(pairs, rows[::2], rows[1::2]):  # the first error, if any
         errors = [row for row in (price, risk_free) if isinstance(row, EngineError)]
         outcomes[v] = errors[0] if errors else (price, price - risk_free)

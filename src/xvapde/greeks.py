@@ -5,8 +5,8 @@ mapping back: Delta = V_x / S, Gamma = (V_xx - V_x) / S^2. Interior nodes
 use the nonuniform central stencils, the two walls one-sided ones. Vega and
 Rho are plain central differences of bumped re-solves: sigma (or r) is
 bumped everywhere it appears, including the cost terms, while q_S stays
-put. The base and bumped variants are solved together, sharing one grid
-build. Each up/down pair marches at the larger sub-step count of the two,
+put. The base and bumped variants are solved together, on one grid.
+Each up/down pair marches at the larger sub-step count of the two,
 so a bump that crosses the stability bound cannot put two
 time-truncation errors into the difference; the base solve keeps its own
 sub-step count. Each one-sided wall stencil reads four nodes, so Delta
@@ -149,7 +149,7 @@ def greeks_report(prob: Problem, eps_sigma: float | None = None,
     A bump size left as None comes from ``DEFAULT_EPS``. Raises InvalidSpec
     on a grid of fewer than four nodes, before any solve.
 
-    The five solves share one grid build and keep only the terminal level;
+    The five solves share one grid and keep only the terminal level;
     each bump pair marches at the larger sub-step count of its two, as in
     ``bump_greek``.
     """
@@ -158,8 +158,7 @@ def greeks_report(prob: Problem, eps_sigma: float | None = None,
     eps_r, r_up, r_dn = _bumped(prob, "rho", eps_r)
     grid = build_space_grid(prob.grid)
     base, s_up, s_dn, up, dn = (solved(row) for row in _solve_stack(
-        [prob, sigma_up, sigma_dn, r_up, r_dn], ties=[(1, 2), (3, 4)],
-        grids={prob.grid: grid}))
+        [prob, sigma_up, sigma_dn, r_up, r_dn], ties=[(1, 2), (3, 4)]))
     delta, gamma = _delta_gamma_row(base, grid)
     return GreeksReport(spots=grid.spots, delta=delta, gamma=gamma,
                         vega=(s_up - s_dn) / (2.0 * eps_sigma), rho=(up - dn) / (2.0 * eps_r),

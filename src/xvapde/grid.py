@@ -5,11 +5,16 @@ c1 = asinh((x_minus - x*)/alpha) and c2 = asinh((x_plus - x*)/alpha), which
 pins the endpoints to the requested walls and clusters nodes around x*,
 densest where the payoff kinks. Smaller alpha stretches harder; a huge
 alpha degenerates to a uniform grid.
+
+``build_space_grid`` builds each spec once per process, so every variant
+and every consumer of a scenario reads one read-only ``SpaceGrid``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +46,10 @@ class GridSpec:
             object.__setattr__(self, name, int(count))  # so 200.0 builds as 200 does
         if not self.x_minus < self.x_star < self.x_plus:
             raise InvalidSpec("need x_minus < x_star < x_plus")
+        try:  # the upper wall's spot, S_max, must be a float
+            math.exp(self.x_plus)
+        except OverflowError:
+            raise InvalidSpec(f"x_plus must have a finite exp, got {self.x_plus!r}") from None
         if not self.alpha > 0.0:
             raise InvalidSpec("alpha must be positive")
         if self.n_space < 2:
@@ -81,9 +90,9 @@ class SpaceGrid:
     def n(self) -> int:
         return len(self.nodes) - 1
 
-    @property
+    @functools.cached_property
     def spots(self) -> np.ndarray:
-        return np.exp(self.nodes)
+        return _read_only(np.exp(self.nodes))
 
     def nearest_index(self, x: float) -> int:
         """Index of the node closest to log-price x."""
@@ -91,6 +100,14 @@ class SpaceGrid:
 
 
 def build_space_grid(spec: GridSpec) -> SpaceGrid:
+    """The grid of ``spec``, read-only and built once per process for specs of
+    equal bits: a zero wall of either sign is a node, so each sign has its own."""
+    return _build(spec, struct.pack("7d", spec.x_minus, spec.x_plus, spec.x_star, spec.alpha,
+                                    spec.n_space, spec.n_time, spec.horizon))
+
+
+@functools.lru_cache(maxsize=16)
+def _build(spec: GridSpec, bits: bytes) -> SpaceGrid:
     c1 = math.asinh((spec.x_minus - spec.x_star) / spec.alpha)
     c2 = math.asinh((spec.x_plus - spec.x_star) / spec.alpha)
     t = np.arange(spec.n_space + 1) / spec.n_space
@@ -103,7 +120,12 @@ def build_space_grid(spec: GridSpec) -> SpaceGrid:
         raise InvalidSpec("grid nodes are not strictly increasing")
     hb, hf = h[:-1], h[1:]
     span = hb + hf
-    return SpaceGrid(nodes=nodes, h=h, h_plus=2.0 / (hf * span), h_minus=2.0 / (hb * span))
+    return SpaceGrid(*map(_read_only, (nodes, h, 2.0 / (hf * span), 2.0 / (hb * span))))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_time_grid(spec: GridSpec) -> np.ndarray:

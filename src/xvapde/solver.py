@@ -20,9 +20,10 @@ step is split into equal sub-steps automatically; passing substep=False
 disables the guard (useful only to demonstrate the blow-up).
 
 A solve has two parts. The plan does everything that does not change with
-tau once: the condition checks, the grid, the sub-step count and size,
-the weights (a, b, c), the three source rates and the wall curves. The
-march then only does arithmetic. Every solve is a stack: ``solve`` is a
+tau once: the condition checks, the sub-step count and size, the weights
+(a, b, c), the three source rates and the wall curves, on the grid that
+``build_space_grid`` builds once per spec and process. The march then only
+does arithmetic. Every solve is a stack: ``solve`` is a
 stack of one, ``solve_stack`` takes many, and the greeks, CVA, model
 comparison and sweeps each solve their variants in one stack and
 subtract rows. A stack is split by grid once, and ``_plan_stack`` plans
@@ -251,7 +252,6 @@ class _Counts:
         self.rows = 0          # rows marched
         self.substeps = 0      # nsub times the levels marched, summed over the rows
         self.node_updates = 0  # sub-steps times interior nodes, summed over the rows
-        self.grids = 0         # space grids built; not those a caller passes in
 
 
 _counts = _Counts()
@@ -342,8 +342,7 @@ def plan(prob: Problem, substep: bool = True) -> Plan:
     return stack
 
 
-def _plan_stack(problems, substep: bool = True, ties=(),
-                grids: dict[GridSpec, SpaceGrid] | None = None):
+def _plan_stack(problems, substep: bool = True, ties=()):
     """Check and plan the distinct members of a stack on one grid in one
     broadcast pass, and warn nothing.
 
@@ -363,12 +362,9 @@ def _plan_stack(problems, substep: bool = True, ties=(),
     or None, and findings[i] its warning texts: its condition warnings if
     it is a distinct member, then, if it is the first member to march its
     row, that row's monotone warnings, taken at the nsub the row marches.
-    ``stack`` is None when no member marches. ``grids`` holds grids already
-    built, by spec; the planner adds the one it builds.
+    ``stack`` is None when no member marches.
     """
-    grids = {} if grids is None else grids
     spec = problems[0].grid
-    grid = grids.get(spec)
     many = len(problems) > 1
     out, rows = [None] * len(problems), [None] * len(problems)
     findings: list = [[] for _ in problems]
@@ -384,9 +380,7 @@ def _plan_stack(problems, substep: bool = True, ties=(),
                 out[i] = _duplicate(out[head])
             continue
         try:
-            if grid is None:  # each distinct member tries, so each fails alone
-                grid = grids[spec] = build_space_grid(spec)
-                _counts.grids += 1
+            grid = build_space_grid(spec)  # each distinct member tries, so each fails alone
             sig2, drift = variance_and_drift(p)  # condition 1 raises here
             findings[i] = _advisories(prob, p)  # kept when the walls or payoff fail
             walls, start = boundary_curves(prob.instrument, grid, p), payoff(prob.instrument, grid)
@@ -540,10 +534,8 @@ def step(row: np.ndarray, m: int, prob: Problem, substep: bool = True) -> np.nda
     One level of the same march ``solve`` runs. Raises NonFiniteValue at the
     first sub-step and node that stops being finite.
     """
-    out, _, findings, stack = _plan_stack([prob], substep)
-    _warn(findings)
-    solved(out[0])
-    return solved(_march(stack, np.array(row, dtype=float)[None], m, m + 1, m + 1)[0])
+    return solved(_march(plan(prob, substep), np.array(row, dtype=float)[None], m, m + 1,
+                         m + 1)[0])
 
 
 def solve(prob: Problem, substep: bool = True) -> Surface:
@@ -553,9 +545,8 @@ def solve(prob: Problem, substep: bool = True) -> Surface:
     condition 1; conditions 2 and 4 and a negative lambda_B - r*C_B only
     emit ModelAssumptionWarning. A stack of one.
     """
-    grids: dict[GridSpec, SpaceGrid] = {}
-    values = solved(_solve_stack([prob], None, substep, grids=grids)[0])
-    return Surface(values=values, grid=grids[prob.grid], taus=build_time_grid(prob.grid))
+    return Surface(values=solved(_solve_stack([prob], None, substep)[0]),
+                   grid=build_space_grid(prob.grid), taus=build_time_grid(prob.grid))
 
 
 def solve_stack(problems, time_index: int | None = -1, substep: bool = True) -> list:
@@ -573,12 +564,10 @@ def solve_stack(problems, time_index: int | None = -1, substep: bool = True) -> 
 
 
 def _solve_stack(problems, time_index: int | None = -1, substep: bool = True,
-                 ties=(), grids: dict[GridSpec, SpaceGrid] | None = None) -> list:
+                 ties=()) -> list:
     """``solve_stack``, with ``ties``: tuples of member indices that march at
     the largest nsub among them, so a difference of two of them carries
-    one time-truncation error; a tie joins members on one grid. ``grids``
-    holds grids the caller has already built, by spec; the stack adds the
-    ones it builds.
+    one time-truncation error; a tie joins members on one grid.
 
     The members are split by grid once. ``_plan_stack`` plans each grid's
     members before any of them marches; their findings are emitted in
@@ -599,7 +588,7 @@ def _solve_stack(problems, time_index: int | None = -1, substep: bool = True,
     for members in split.values():
         local = {i: k for k, i in enumerate(members)}
         got, rows, said, stack = _plan_stack([problems[i] for i in members], substep, [
-            [local[i] for i in tie if i in local] for tie in ties], grids)
+            [local[i] for i in tie if i in local] for tie in ties])
         for i, err, messages in zip(members, got, said):
             out[i], findings[i] = err, messages
         if stack is not None:

@@ -149,6 +149,15 @@ def test_ill_posed_scenario_exits_1_with_the_guard_name(tmp_path, capsys):
     assert "WellPosednessViolation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "price"])
+def test_an_upper_wall_whose_spot_overflows_exits_2(tmp_path, capsys, command):
+    code, _ = run(tmp_path, command, {"grid": {**FAST_GRID, "x_plus": 710}})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: grid: x_plus must have a finite exp, got 710.0" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_command_requires_a_sweep_section(tmp_path, capsys):
     code, _ = run(tmp_path, "sweep", {"grid": FAST_GRID})
     assert code == 2

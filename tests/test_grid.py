@@ -71,6 +71,15 @@ def test_a_whole_float_count_builds_as_its_integer():
     np.testing.assert_array_equal(build_time_grid(spec), np.linspace(0.0, 1.0, 5))
 
 
+@pytest.mark.parametrize("x_plus", [710.0, 1e6])
+def test_rejects_an_upper_wall_whose_spot_overflows(x_plus):
+    with pytest.raises(InvalidSpec, match="^x_plus must have a finite exp, got"):
+        GridSpec(x_minus=0.0, x_plus=x_plus, x_star=0.5, alpha=1.0,
+                 n_space=10, n_time=10, horizon=1.0)
+    assert GridSpec(x_minus=0.0, x_plus=709.0, x_star=0.5, alpha=1.0,
+                    n_space=10, n_time=10, horizon=1.0).x_plus == 709.0
+
+
 def test_dtau_requires_time_steps():
     spec = GridSpec(x_minus=0.0, x_plus=1.0, x_star=0.5, alpha=1.0,
                     n_space=10, n_time=0, horizon=1.0)
@@ -157,6 +166,31 @@ def test_nearest_index():
 def test_spots_are_exponentials_of_nodes():
     g = build_space_grid(desk_grid())
     np.testing.assert_allclose(g.spots, np.exp(g.nodes), rtol=0.0)
+
+
+def test_equal_specs_built_apart_share_one_grid():
+    g = build_space_grid(desk_grid(n_space=37))
+    assert build_space_grid(desk_grid(n_space=37)) is g
+    assert build_space_grid(desk_grid(n_space=38)) is not g
+
+
+def test_a_zero_wall_of_either_sign_builds_its_own_grid():
+    """Specs equal but for the sign of a zero wall are equal specs, but the
+    wall is a node, so each gets the grid that writes its own sign."""
+    plus, minus = (GridSpec(x_minus=zero, x_plus=1.0, x_star=0.5, alpha=1.0,
+                            n_space=10, n_time=10, horizon=1.0) for zero in (0.0, -0.0))
+    assert plus == minus
+    nodes = [build_space_grid(spec).nodes for spec in (plus, minus)]
+    assert ["%.17g" % n[0] for n in nodes] == ["0", "-0"]
+    assert nodes[0][1:].tobytes() == nodes[1][1:].tobytes()
+
+
+def test_a_built_grids_arrays_are_read_only():
+    g = build_space_grid(desk_grid())
+    assert g.spots is g.spots
+    for array in (g.nodes, g.h, g.h_plus, g.h_minus, g.spots):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 # --- Time grid ---

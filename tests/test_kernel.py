@@ -22,6 +22,7 @@ from xvapde import (
     ModelVariant,
     NonFiniteValue,
     Problem,
+    SpaceGrid,
     solve,
     turnover_factor,
 )
@@ -116,16 +117,26 @@ def test_the_kernel_equals_the_numpy_march_bit_for_bit(both_marches, march):
        taus=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=20))
 @settings(max_examples=300, deadline=None)
 def test_compiled_walls_equal_the_python_walls_bit_for_bit(walls, exponents, taus):
-    """P*exp(p*tau) - Q*exp(q*tau) in C equals ``curve_values`` bit for bit,
-    overflowing exponentials (inf) included."""
+    """P*exp(p*tau) - Q*exp(q*tau) in C equals ``curve_values`` bit for bit:
+    a one-level kernel march of zero weights on three nodes, with tau as its
+    step, ends on the two walls at tau, and an overflowing exponential
+    (inf) stops it at the first non-finite wall."""
     walls[1], walls[3], walls[5], walls[7] = exponents
     curves = (tuple(walls[:4]), tuple(walls[4:]))
-    coef, at = np.array(walls), np.array(taus)
-    out = np.empty((len(taus), 2))
-    _kernel.library().walls_into(coef.ctypes.data, at.ctypes.data, len(taus), out.ctypes.data)
-    with np.errstate(invalid="ignore"):
-        want = np.column_stack(curve_values(curves, taus))
-    assert out.tobytes() == want.tobytes()
+    grid = SpaceGrid(nodes=np.arange(3.0), h=np.ones(2), h_plus=np.ones(1), h_minus=np.ones(1))
+    zero = np.zeros((1, 1))
+    for tau in taus:
+        plan = solver.Plan(grid=grid, dtau=tau, nsub=np.ones(1, dtype=int), delta=np.array([tau]),
+                           a=zero, b=zero, c=zero, rates=np.zeros((1, 3)),
+                           walls=np.array([curves]), start=np.zeros((1, 3)))
+        out = solver._march(plan, plan.start, 0, 1, 1)[0]
+        with np.errstate(invalid="ignore"):
+            lo, hi = curve_values(curves, [tau])
+        want = np.array([lo[0], 0.0, hi[0]])
+        if np.isfinite(want).all():
+            assert out.tobytes() == want.tobytes()
+        else:
+            assert (out.step, out.node) == (0, int(np.argmin(np.isfinite(want))))
 
 
 @needs_cc

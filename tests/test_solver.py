@@ -34,6 +34,7 @@ from xvapde import (
     turnover_factor,
     validity_checks,
 )
+from xvapde.grid import _build as grid_cache
 from xvapde.instrument import boundary_values, payoff
 from xvapde.model import negative_exposure_rate, positive_exposure_rate
 from xvapde.solver import DRIFT_MODES, nonlinear_source, source_rates, step, step_coefficients
@@ -426,6 +427,22 @@ def test_surface_csv_round_trips_exactly(tmp_path):
     np.testing.assert_array_equal(back, surf.values)
     taus_back = np.array([float(row[0]) for row in rows[2:]])
     np.testing.assert_array_equal(taus_back, surf.taus)
+
+
+def test_a_solves_grid_cannot_be_written_through(both_marches):
+    """The grid a surface holds is the one every later solve of its spec
+    reads, so writing into it raises, and the next solve is the same bit
+    for bit."""
+    prob = desk_problem(grid=desk_grid(n_space=20, n_time=3))
+    for _ in both_marches():
+        surf = solve(prob)
+        for array in (surf.grid.nodes, surf.grid.spots):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = 0.0
+        again = solve(prob)
+        assert again.grid is surf.grid
+        assert again.values.tobytes() == surf.values.tobytes()
+        assert again.grid.spots.tobytes() == np.exp(again.grid.nodes).tobytes()
 
 
 # --- Stacked marches ---
@@ -923,26 +940,36 @@ def test_the_stacked_plan_is_each_members_lone_plan_bit_for_bit(stack):
                 == [stability_bound(space, p) for p in posed])
 
 
+def _grid_builds() -> int:
+    """Space grids built since the grid cache was last cleared."""
+    return grid_cache.cache_info().misses
+
+
 def test_the_engine_counts_its_work(both_marches):
-    """The counters add what each stack asked for, planned, built and
-    marched: a desk solve is one member, one plan, one grid and one row of
-    261 sub-steps over 199 interior nodes; a greeks report is five members,
-    plans and rows on the grid it builds and passes in; a duplicate is asked
-    for but neither planned nor marched."""
+    """The counters add what each stack asked for, planned and marched, and
+    the grid cache counts the builds: a desk solve is one member, one plan,
+    one grid and one row of 261 sub-steps over 199 interior nodes; a greeks
+    report on the same spec is five members, plans and rows on the grid
+    already built; a duplicate is asked for but neither planned nor
+    marched."""
     prob = desk_problem()
     for _ in both_marches():
+        grid_cache.cache_clear()
         solver._counts.reset()
         solve(prob)
         assert vars(solver._counts) == dict(members=1, plans=1, rows=1, substeps=261,
-                                            node_updates=261 * 199, grids=1)
+                                            node_updates=261 * 199)
+        assert _grid_builds() == 1
         solver._counts.reset()
         greeks_report(prob)
         assert (solver._counts.members, solver._counts.plans, solver._counts.rows,
-                solver._counts.grids) == (5, 5, 5, 0)
+                _grid_builds()) == (5, 5, 5, 1)
+        grid_cache.cache_clear()
         solver._counts.reset()
         solve_stack([prob, prob], substep=False)
         assert vars(solver._counts) == dict(members=2, plans=1, rows=1, substeps=261,
-                                            node_updates=261 * 199, grids=1)
+                                            node_updates=261 * 199)
+        assert _grid_builds() == 1
 
 
 def test_members_on_two_grids_plan_and_march_as_they_do_alone(both_marches):
@@ -964,13 +991,15 @@ def test_members_on_two_grids_plan_and_march_as_they_do_alone(both_marches):
     assert all(lone[k] for k in (0, 1, 2)) and lone[1] != lone[2]
     for _ in both_marches():
         for time_index in (None, -1):
+            grid_cache.cache_clear()
             solver._counts.reset()
             outs, messages = _recorded(
                 lambda: solver._solve_stack(members, time_index, ties=ties))
             assert messages == lone[0] + lone[1] + lone[2]
             # rows at nsub 1, 2 and 2 over 4 levels, and two at nsub 1 over 20
             assert vars(solver._counts) == dict(members=7, plans=5, rows=5, substeps=60,
-                                                node_updates=60 * 9, grids=2)
+                                                node_updates=60 * 9)
+            assert _grid_builds() == 2
             pair, _ = _recorded(lambda: solver._solve_stack([members[3], members[6]],
                                                             time_index, ties=[(0, 1)]))
             for i, out in enumerate(outs):
