@@ -68,8 +68,17 @@ class ModelParams:
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
+        try:  # the variance squares it: an inf square raises, a 0 one can give 0*-inf
+            square = self.sigma ** 2
+        except OverflowError:
+            square = math.inf
+        if not 0.0 < square < math.inf:
+            raise ValueError(f"sigma must have a positive finite square, got {self.sigma!r}")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(turnover_factor(self.dt)):  # else C_S = 0 makes the variance NaN
+            raise ValueError(f"dt must have a finite turnover factor sqrt(2/(pi*dt)), "
+                             f"got {self.dt!r}")
         for name in ("R_B", "R_C"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

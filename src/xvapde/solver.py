@@ -15,9 +15,10 @@ counterparty-bond cost sink on the positive part U = max(V, 0):
              + min(V_i,0)*(lambda_B - r C_B)(1-R_B)
              + sigma*sqrt(2/(pi*dt))*C_C*(1-R_C) * |(U[i+1]-U[i]) / (x[i+1]-x[i])|
 
-Whenever the reporting step exceeds the grid's ``stability_bound``, the
-step is split into equal sub-steps automatically; passing substep=False
-disables the guard (useful only to demonstrate the blow-up).
+Whenever the reporting step dtau exceeds the grid's ``stability_bound``,
+the step is split into nsub = ceil(dtau / bound) equal sub-steps, for
+every member of every stack. A member whose bound is 0, or whose nsub
+would not fit the march's int64 count, fails alone with InvalidSpec.
 
 A solve has two parts. The plan does everything that does not change with
 tau once: the condition checks, the sub-step count and size, the weights
@@ -64,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvio import write_rows
-from .errors import EngineError, ModelAssumptionWarning, NonFiniteValue
+from .errors import EngineError, InvalidSpec, ModelAssumptionWarning, NonFiniteValue
 from .grid import GridSpec, SpaceGrid, _stability_bounds, build_space_grid, build_time_grid
 from .instrument import Instrument, boundary_curves, curve_values, payoff
 from .model import (
@@ -327,22 +328,22 @@ def _monotone_messages(grid: SpaceGrid, a: np.ndarray, c: np.ndarray, upper: np.
     return messages
 
 
-def plan(prob: Problem, substep: bool = True) -> Plan:
+def plan(prob: Problem) -> Plan:
     """Check the problem and build everything its march needs, once: a
     ``Plan`` of one row.
 
     Splits each reporting step into ceil(dtau / stability_bound) equal
-    sub-steps unless substep is False. Raises WellPosednessViolation when
-    the variant-filtered parameters break condition 1. The one-member case
-    of ``_plan_stack``.
+    sub-steps (``_nsub``). Raises WellPosednessViolation when the
+    variant-filtered parameters break condition 1, and InvalidSpec when no
+    sub-step count fits. The one-member case of ``_plan_stack``.
     """
-    out, _, findings, stack = _plan_stack([prob], substep)
+    out, _, findings, stack = _plan_stack([prob])
     _warn(findings)
     solved(out[0])
     return stack
 
 
-def _plan_stack(problems, substep: bool = True, ties=()):
+def _plan_stack(problems, ties=()):
     """Check and plan the distinct members of a stack on one grid in one
     broadcast pass, and warn nothing.
 
@@ -350,12 +351,13 @@ def _plan_stack(problems, substep: bool = True, ties=()):
     checked alone, so one that breaks condition 1, or whose grid, walls or
     payoff cannot be built, fails alone; the walls and payoff are built
     after the condition checks that warn, as in a lone plan. Then one pass
-    takes every member's stability bound and nsub; ``ties`` (tuples of
-    member indices) raise tied members to the largest nsub among them,
-    since a larger nsub only shrinks the sub-step; and a second pass builds
-    the weights of every row, one per distinct (member, nsub) that marches,
-    in member order, and checks each row's step for monotonicity once. Each
-    element is computed as a lone plan computes it.
+    takes every member's stability bound and nsub (``_nsub``: a member
+    whose nsub does not fit fails alone, and its duplicates with it);
+    ``ties`` (tuples of member indices) raise tied members to the largest
+    nsub among them, since a larger nsub only shrinks the sub-step; and a
+    second pass builds the weights of every row, one per distinct (member,
+    nsub) that marches, in member order, and checks each row's step for
+    monotonicity once. Each element is computed as a lone plan computes it.
 
     Returns (out, rows, findings, stack): out[i] is member i's planning
     error or None, rows[i] the row of ``stack`` that member i marches on,
@@ -376,8 +378,6 @@ def _plan_stack(problems, substep: bool = True, ties=()):
         head = heads.setdefault(_plan_key(prob, p), i) if many else i
         head_of.append(head)
         if head != i:
-            if out[head] is not None:
-                out[i] = _duplicate(out[head])
             continue
         try:
             grid = build_space_grid(spec)  # each distinct member tries, so each fails alone
@@ -387,20 +387,27 @@ def _plan_stack(problems, substep: bool = True, ties=()):
         except EngineError as exc:
             out[i] = exc
             continue
-        _counts.plans += 1
         checked[i] = _Member((sig2, drift, p.r), prob.drift_discretization == "forward"
                              or drift >= 0.0, source_rates(p), walls, start)
     _counts.members += len(problems)
-    if not checked:
-        return out, rows, findings, None
-
     dtau = spec.dtau if spec.n_time else 0.0
-    own = dict.fromkeys(checked, 1)  # member -> its nsub alone
-    if substep:
+    own = {}  # member -> its nsub alone
+    if checked:
         bounds = _stability_bounds(grid, *_columns([m.scalars for m in checked.values()]))
-        own = {i: max(1, math.ceil(dtau / bound)) if math.isfinite(bound) else 1
-               for i, bound in zip(checked, bounds)}
-    nsub = {i: own[h] for i, h in enumerate(head_of) if h in own}
+        for i, bound in zip(checked, bounds):
+            try:
+                own[i] = _nsub(dtau, bound)
+            except InvalidSpec as exc:
+                out[i] = exc
+    _counts.plans += len(own)
+    nsub = {}
+    for i, h in enumerate(head_of):
+        if h in own:
+            nsub[i] = own[h]
+        elif h != i:  # a duplicate of a member that failed
+            out[i] = _duplicate(out[h])
+    if not nsub:
+        return out, rows, findings, None
     for tie in ties:
         tied = [i for i in tie if i in nsub]
         nsub.update(dict.fromkeys(tied, max((nsub[i] for i in tied), default=1)))
@@ -421,6 +428,20 @@ def _plan_stack(problems, substep: bool = True, ties=()):
         grid=grid, dtau=dtau, nsub=np.array([n for _, n in layout]), delta=np.array(delta),
         a=a, b=b, c=c, rates=np.array(rates), walls=np.array([m.walls for m in members]),
         start=np.array([m.start for m in members]))
+
+
+def _nsub(dtau: float, bound: float) -> int:
+    """The sub-steps of one reporting step of dtau: ceil(dtau / bound), at
+    least 1; 1 on a grid of no levels, whose dtau is 0.0. Raises
+    InvalidSpec where the bound is 0 or the count would reach 2**63, which
+    the march's int64 cannot hold."""
+    if not dtau:
+        return 1
+    count = dtau / bound if bound > 0.0 else math.inf
+    if not count < 2.0 ** 63:
+        raise InvalidSpec(f"dtau = {dtau!r} over the stability bound {bound!r} needs 2**63 or "
+                          "more sub-steps, more than the march can count")
+    return max(1, math.ceil(count))
 
 
 def _warn(findings) -> None:
@@ -528,43 +549,42 @@ def solved(outcome):
     return outcome
 
 
-def step(row: np.ndarray, m: int, prob: Problem, substep: bool = True) -> np.ndarray:
+def step(row: np.ndarray, m: int, prob: Problem) -> np.ndarray:
     """Advance one reporting step, from tau_m to tau_{m+1}.
 
     One level of the same march ``solve`` runs. Raises NonFiniteValue at the
     first sub-step and node that stops being finite.
     """
-    return solved(_march(plan(prob, substep), np.array(row, dtype=float)[None], m, m + 1,
-                         m + 1)[0])
+    return solved(_march(plan(prob), np.array(row, dtype=float)[None], m, m + 1, m + 1)[0])
 
 
-def solve(prob: Problem, substep: bool = True) -> Surface:
+def solve(prob: Problem) -> Surface:
     """March the payoff from tau = 0 to tau = T and return every level.
 
     Raises WellPosednessViolation when the variant-filtered parameters break
     condition 1; conditions 2 and 4 and a negative lambda_B - r*C_B only
     emit ModelAssumptionWarning. A stack of one.
     """
-    return Surface(values=solved(_solve_stack([prob], None, substep)[0]),
+    return Surface(values=solved(_solve_stack([prob], None)[0]),
                    grid=build_space_grid(prob.grid), taus=build_time_grid(prob.grid))
 
 
-def solve_stack(problems, time_index: int | None = -1, substep: bool = True) -> list:
+def solve_stack(problems, time_index: int | None = -1) -> list:
     """Solve many problems; one outcome per problem, in order.
 
     An outcome is the problem's row at level ``time_index`` (every level
     when it is None), or the EngineError that stopped that problem alone:
-    a broken condition 1 at planning, or NonFiniteValue in the march.
+    a broken condition 1 or no sub-step count that fits at planning, or
+    NonFiniteValue in the march.
     Problems that share a grid share its build; each marches alone, at its
     own nsub, except that problems that would plan and march to the same
     bits plan and march once, and each gets its own copy of the outcome.
     An index out of range for any problem's grid raises IndexError first.
     """
-    return _solve_stack(problems, time_index, substep)
+    return _solve_stack(problems, time_index)
 
 
-def _solve_stack(problems, time_index: int | None = -1, substep: bool = True,
-                 ties=()) -> list:
+def _solve_stack(problems, time_index: int | None = -1, ties=()) -> list:
     """``solve_stack``, with ``ties``: tuples of member indices that march at
     the largest nsub among them, so a difference of two of them carries
     one time-truncation error; a tie joins members on one grid.
@@ -587,7 +607,7 @@ def _solve_stack(problems, time_index: int | None = -1, substep: bool = True,
     out, findings, planned = [None] * len(problems), [None] * len(problems), []
     for members in split.values():
         local = {i: k for k, i in enumerate(members)}
-        got, rows, said, stack = _plan_stack([problems[i] for i in members], substep, [
+        got, rows, said, stack = _plan_stack([problems[i] for i in members], [
             [local[i] for i in tie if i in local] for tie in ties])
         for i, err, messages in zip(members, got, said):
             out[i], findings[i] = err, messages

@@ -1,6 +1,8 @@
 import pytest
 
-from xvapde import _kernel
+from xvapde import _kernel, solver
+
+from helpers import no_bounds
 
 
 @pytest.fixture
@@ -17,3 +19,11 @@ def both_marches(monkeypatch):
             yield path
         _kernel.enabled = True
     return paths
+
+
+@pytest.fixture
+def unguarded(monkeypatch):
+    """Plan the whole test body without the stability guard: every member's
+    own nsub is 1 (``helpers.no_bounds``); ties still raise tied members to
+    their largest. ``helpers.unguarded_planning`` is its context-manager form."""
+    monkeypatch.setattr(solver, "_stability_bounds", no_bounds)

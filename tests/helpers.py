@@ -1,5 +1,6 @@
 """Shared builders for the desk-scale call scenario used across the suite."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from xvapde import (
     build_space_grid,
     stability_bound,
 )
+from xvapde import solver
 from xvapde.instrument import boundary_curves, curve_values, payoff
 from xvapde.solver import nonlinear_source, source_rates, step_coefficients
 
@@ -41,6 +43,28 @@ def desk_problem(variant: ModelVariant = ModelVariant.BKTC, grid: GridSpec | Non
     return Problem(params=desk_params(**param_overrides), variant=variant,
                    grid=grid or desk_grid(),
                    instrument=instrument or Instrument(kind="call", strike=STRIKE))
+
+
+def no_bounds(grid, sig2, drift, r) -> list[float]:
+    """A stand-in for the bounds the planner reads (``solver._stability_bounds``):
+    +inf for each member, so each member's own nsub is 1 and the engine
+    marches the unguarded step, which blows up where the bound would split
+    it. ``stability_bound`` itself, which the references read, is
+    untouched."""
+    return [math.inf] * np.size(sig2)
+
+
+@contextlib.contextmanager
+def unguarded_planning():
+    """Plan with ``no_bounds`` inside the block: the form for hypothesis
+    tests, which cannot take the ``unguarded`` fixture, and for tests that
+    guard only part of their body."""
+    real = solver._stability_bounds
+    solver._stability_bounds = no_bounds
+    try:
+        yield
+    finally:
+        solver._stability_bounds = real
 
 
 def _sub_steps(prob: Problem, substep: bool = True, skip_zero_source: bool = False):

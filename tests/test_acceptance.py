@@ -32,7 +32,7 @@ from xvapde import (
 from xvapde.greeks import bump_greek, delta_gamma
 from xvapde.solver import step_coefficients
 
-from helpers import STRIKE, desk_grid, desk_params, desk_problem
+from helpers import STRIKE, desk_grid, desk_params, desk_problem, unguarded_planning
 
 ORACLE_ARGS = dict(K=STRIKE, r=0.05, carry=0.02, sigma=0.1, tau=1.0)
 
@@ -235,8 +235,8 @@ def test_criterion_09_oversized_steps_fail_loudly():
     min_b = float(b.min())
     blew = None
     try:
-        with pytest.warns(ModelAssumptionWarning, match="centre weight"):
-            solve(prob, substep=False)
+        with pytest.warns(ModelAssumptionWarning, match="centre weight"), unguarded_planning():
+            solve(prob)
     except NonFiniteValue as exc:
         blew = exc
     guarded_finite = bool(np.isfinite(solve(prob).values).all())

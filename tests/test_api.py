@@ -69,8 +69,10 @@ PARAMETERS = {
     "greeks_report": ["prob", "eps_sigma", "eps_r"],
     "hedge_notionals": ["surface", "p", "time_index"],
     "modified_variance": ["p"],
-    "solve": ["prob", "substep"],
-    "solve_stack": ["problems", "time_index", "substep"],
+    "solve": ["prob"],
+    "solve_stack": ["problems", "time_index"],
+    "solver.plan": ["prob"],
+    "solver.step": ["row", "m", "prob"],
     "stability_bound": ["grid", "p"],
     "sweep": ["base", "parameter", "values"],
     "turnover_factor": ["dt"],
@@ -101,6 +103,8 @@ def test_public_functions_take_exactly_the_pinned_parameters():
                if inspect.isfunction(obj) or dataclasses.is_dataclass(obj)}
     objects["bump_greek"] = greeks.bump_greek
     objects["Surface.value_near_spot"] = xvapde.Surface.value_near_spot
+    objects["solver.plan"] = solver.plan
+    objects["solver.step"] = solver.step
     assert {name: [f.name for f in dataclasses.fields(obj)] if dataclasses.is_dataclass(obj)
             else list(inspect.signature(obj).parameters)
             for name, obj in objects.items()} == PARAMETERS

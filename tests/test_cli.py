@@ -158,6 +158,45 @@ def test_an_upper_wall_whose_spot_overflows_exits_2(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "price", "cva"])
+@pytest.mark.parametrize("params, message", [
+    ({"sigma": 1e200}, "sigma must have a positive finite square, got 1e+200"),
+    ({"dt": 1e-310, "C_S": 0.0}, "dt must have a finite turnover factor sqrt(2/(pi*dt)), "
+                                 "got 1e-310"),
+], ids=["sigma", "dt"])
+def test_a_sigma_or_dt_the_variance_cannot_hold_exits_2(tmp_path, capsys, command, params,
+                                                       message):
+    code, _ = run(tmp_path, command, {"params": params, "grid": FAST_GRID})
+    assert code == 2
+    assert capsys.readouterr().err == f"error: params: {message}\n"
+
+
+@pytest.mark.parametrize("section, values", [
+    ("params", {"r": 1e300}),
+    ("params", {"sigma": 1e9}),
+    ("params", {"sigma": 1e154}),  # the diffusion overflows to inf: a bound of 0
+    ("grid", {"horizon": 1e300}),
+], ids=["r", "sigma-1e9", "sigma-1e154", "horizon"])
+def test_a_step_no_sub_step_count_fits_exits_1(tmp_path, section, values):
+    """A stability bound of 0, or a dtau / bound of 2**63 or more, which the
+    march's int64 sub-step count cannot hold, ends ``xvapde price`` with one
+    ``error: InvalidSpec`` line after its warning lines, and no traceback."""
+    cfg = {"grid": dict(FAST_GRID)}
+    cfg.setdefault(section, {}).update(values)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "xvapde", "price", "--config", str(path),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert all(line.startswith("warning: ") for line in lines[:-1])
+    assert re.fullmatch(r"error: InvalidSpec: dtau = \S+ over the stability bound \S+ needs "
+                        r"2\*\*63 or more sub-steps, more than the march can count", lines[-1])
+    assert not (tmp_path / "out" / "surface.csv").exists()
+
+
 def test_sweep_command_requires_a_sweep_section(tmp_path, capsys):
     code, _ = run(tmp_path, "sweep", {"grid": FAST_GRID})
     assert code == 2

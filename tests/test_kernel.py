@@ -1,5 +1,6 @@
 """The compiled march: the same bits as the numpy row march, and how it loads."""
 
+import contextlib
 import math
 import os
 import shutil
@@ -29,7 +30,15 @@ from xvapde import (
 from xvapde import _kernel, solver
 from xvapde.instrument import curve_values
 
-from helpers import STRIKE, X_MINUS, X_PLUS, desk_grid, desk_params, desk_problem
+from helpers import (
+    STRIKE,
+    X_MINUS,
+    X_PLUS,
+    desk_grid,
+    desk_params,
+    desk_problem,
+    unguarded_planning,
+)
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
@@ -51,7 +60,8 @@ def marches(draw):
     modes. Some are zero-source (recoveries of 1, s_F = 0), some have
     a -0.0 rate (BKTC with lambda_B = 0 < r*C_B as well), some blow up in
     the source or at an overflowing wall, and some break condition 1; ties
-    march pairs at their larger nsub."""
+    march pairs at their larger nsub. The flag says whether the members
+    plan with the stability guard (else through ``unguarded_planning``)."""
     n_space, n_time = draw(st.integers(3, 30)), draw(st.integers(0, 6))
     spec = GridSpec(x_minus=X_MINUS, x_plus=X_PLUS, x_star=math.log(STRIKE),
                     alpha=(X_PLUS - X_MINUS) / draw(st.floats(2.0, 20.0)),
@@ -100,13 +110,14 @@ def test_the_kernel_equals_the_numpy_march_bit_for_bit(both_marches, march):
     """Every outcome of ``_solve_stack``, values or error, is the same in the
     kernel and in ``_march_numpy``: the same bits, or the same (step, node)
     of a blow-up."""
-    members, time_index, substep, ties = march
+    members, time_index, guarded, ties = march
     outcomes = []
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), (contextlib.nullcontext() if guarded
+                                     else unguarded_planning()):
         warnings.simplefilter("ignore", ModelAssumptionWarning)
         for _ in both_marches():
             outcomes.append([_bits(out) for out in
-                             solver._solve_stack(members, time_index, substep, ties)])
+                             solver._solve_stack(members, time_index, ties)])
     assert outcomes[0] == outcomes[1]
 
 

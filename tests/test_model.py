@@ -5,6 +5,7 @@ closed-form expressions at the desk scenario (dt = 1/261).
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,42 @@ def test_rejects_recovery_outside_unit_interval(name):
 def test_rejects_negative_rates_and_costs(name):
     with pytest.raises(ValueError, match=name):
         desk_params(**{name: -0.01})
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("sigma", 1e200, "sigma must have a positive finite square, got 1e+200"),
+    ("sigma", 1.4e154, "sigma must have a positive finite square, got 1.4e+154"),
+    ("sigma", 1e-200, "sigma must have a positive finite square, got 1e-200"),
+    ("dt", 1e-310, "dt must have a finite turnover factor sqrt(2/(pi*dt)), got 1e-310"),
+    ("dt", 5e-324, "dt must have a finite turnover factor sqrt(2/(pi*dt)), got 5e-324"),
+], ids=["sigma-1e200", "sigma-1.4e154", "sigma-1e-200", "dt-1e-310", "dt-smallest"])
+def test_rejects_a_sigma_or_dt_whose_variance_would_not_be_a_number(name, value, message):
+    """A huge sigma**2 raises OverflowError, and one that underflows to 0
+    makes the variance 0*-inf = NaN once the cost floor passes sigma;
+    sqrt(2/(pi*dt)) would be inf, and times C_S = 0, as every RiskFree and
+    BK member has, NaN."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        desk_params(**{name: value})
+
+
+@given(sigma=st.floats(1e-300, 1e300), dt=st.floats(5e-324, 1e300),
+       c_s=st.just(0.0) | st.floats(0.0, 1e300))
+@settings(max_examples=300, deadline=None)
+def test_accepted_params_give_a_variance_or_break_condition_1(sigma, dt, c_s):
+    """A sigma and dt that ModelParams accepts give a positive finite
+    modified variance or a WellPosednessViolation, never an OverflowError or
+    a NaN; one it rejects is named in the ValueError."""
+    try:
+        p = desk_params(sigma=sigma, dt=dt, C_S=c_s)
+    except ValueError as exc:
+        assert str(exc).startswith(("sigma must have a positive finite square",
+                                    "dt must have a finite turnover factor"))
+        return
+    try:
+        v = modified_variance(p)
+    except WellPosednessViolation:
+        return
+    assert math.isfinite(v) and v > 0.0
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]

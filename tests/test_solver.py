@@ -1,5 +1,6 @@
 """The explicit march: coefficients, source, sub-stepping, and guards."""
 
+import contextlib
 import copy
 import csv
 import math
@@ -16,6 +17,7 @@ from xvapde import (
     EngineError,
     GridSpec,
     Instrument,
+    InvalidSpec,
     ModelAssumptionWarning,
     ModelParams,
     ModelVariant,
@@ -52,6 +54,7 @@ from helpers import (
     first_non_finite,
     monotone_warnings,
     serial_solve,
+    unguarded_planning,
 )
 
 # regression pins for the desk call at the node nearest the strike (tau = T);
@@ -239,11 +242,11 @@ def test_sub_stepping_recovers_the_fine_march():
     assert np.isfinite(coarse.values).all()
 
 
-def test_forced_oversized_step_raises_instead_of_returning_garbage():
+def test_forced_oversized_step_raises_instead_of_returning_garbage(unguarded):
     prob = desk_problem(grid=desk_grid(n_space=800))
     with pytest.warns(ModelAssumptionWarning, match="centre weight"), \
             pytest.raises(NonFiniteValue) as err:
-        solve(prob, substep=False)
+        solve(prob)
     assert err.value.step >= 0
     assert 0 <= err.value.node <= 800
     assert "non-finite" in str(err.value)
@@ -474,10 +477,16 @@ def stacks(draw):
     return members
 
 
-def _lone(prob, substep=True):
+def guarded(substep: bool):
+    """Plan as the engine does, or, unless ``substep``, without the
+    stability guard (``unguarded_planning``)."""
+    return contextlib.nullcontext() if substep else unguarded_planning()
+
+
+def _lone(prob):
     """A problem's own one-member solve: its values, or the error it raised."""
     try:
-        return solve(prob, substep).values
+        return solve(prob).values
     except (WellPosednessViolation, NonFiniteValue) as exc:
         return exc
 
@@ -512,7 +521,7 @@ def test_stacked_march_equals_each_lone_solve(both_marches, members, ill_posed_a
                                   WellPosednessViolation)
 
 
-def test_a_non_finite_member_does_not_poison_its_stack(both_marches):
+def test_a_non_finite_member_does_not_poison_its_stack(both_marches, unguarded):
     """Without sub-steps sigma = 0.4 blows up on the desk grid (sigma = 0.3
     only reaches ~1e297) while sigma = 0.1 stays stable; stacked together,
     each keeps its lone result."""
@@ -520,14 +529,14 @@ def test_a_non_finite_member_does_not_poison_its_stack(both_marches):
     for _ in both_marches():
         with pytest.warns(ModelAssumptionWarning, match="centre weight"), \
                 pytest.raises(NonFiniteValue) as lone:
-            solve(unstable, substep=False)
+            solve(unstable)
         for members in ([stable, unstable], [unstable, stable]):
             with pytest.warns(ModelAssumptionWarning, match="centre weight"):
-                outs = solve_stack(members, time_index=None, substep=False)
+                outs = solve_stack(members, time_index=None)
             bad, good = outs[members.index(unstable)], outs[members.index(stable)]
             assert isinstance(bad, NonFiniteValue)
             assert (bad.step, bad.node) == (lone.value.step, lone.value.node)
-            np.testing.assert_array_equal(good, solve(stable, substep=False).values)
+            np.testing.assert_array_equal(good, solve(stable).values)
 
 
 def test_cva_rows_and_compare_models_subtract_lone_solves(both_marches):
@@ -648,7 +657,8 @@ def test_zero_source_rows_march_the_linear_update_bit_for_bit(both_marches, memb
                 np.testing.assert_array_equal(values, want)
 
 
-def test_a_zero_source_blow_up_names_where_the_linear_update_overflows(both_marches):
+def test_a_zero_source_blow_up_names_where_the_linear_update_overflows(both_marches,
+                                                                       unguarded):
     """Without sub-steps the RiskFree sigma = 0.3 desk call blows up. Its
     march has no source, so the error names the first node where the linear
     update itself overflows: (260, 100). With a source of rate +0 the same
@@ -662,13 +672,13 @@ def test_a_zero_source_blow_up_names_where_the_linear_update_overflows(both_marc
         warnings.simplefilter("ignore", ModelAssumptionWarning)
         for _ in both_marches():
             with pytest.raises(NonFiniteValue) as lone:
-                solve(blow, substep=False)
+                solve(blow)
             assert (lone.value.step, lone.value.node) == (260, 100)
-            outs = solve_stack(members, substep=False)
+            outs = solve_stack(members)
             assert isinstance(outs[-1], NonFiniteValue)
             assert (outs[-1].step, outs[-1].node) == (260, 100)
             for prob, row in zip(members[:-1], outs[:-1]):
-                np.testing.assert_array_equal(row, solve(prob, substep=False).terminal)
+                np.testing.assert_array_equal(row, solve(prob).terminal)
 
 
 @pytest.mark.parametrize("n_space, substep, failure", [(20, True, (190, 20)),
@@ -684,20 +694,20 @@ def test_an_overflowing_wall_fails_its_member_only(both_marches, n_space, subste
     grid = desk_grid(n_space=n_space)
     blow = desk_problem(variant=ModelVariant.RISK_FREE, q_S=800.0, grid=grid)
     healthy = desk_problem(grid=grid)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), guarded(substep):
         warnings.simplefilter("ignore", ModelAssumptionWarning)
         assert first_non_finite(blow, substep) == failure
         for _ in both_marches():
             with pytest.raises(NonFiniteValue) as lone:
-                solve(blow, substep)
+                solve(blow)
             assert (lone.value.step, lone.value.node) == failure
-            want = solve(healthy, substep).values
+            want = solve(healthy).values
             for members in ([healthy, blow], [blow, healthy]):
-                outs = solve_stack(members, time_index=None, substep=substep)
+                outs = solve_stack(members, time_index=None)
                 bad, good = outs[members.index(blow)], outs[members.index(healthy)]
                 assert isinstance(bad, NonFiniteValue) and (bad.step, bad.node) == failure
                 np.testing.assert_array_equal(good, want)
-            good, bad = solve_stack([healthy, blow], time_index=0, substep=substep)
+            good, bad = solve_stack([healthy, blow], time_index=0)
             assert isinstance(bad, NonFiniteValue) and (bad.step, bad.node) == failure
             np.testing.assert_array_equal(good, want[0])
 
@@ -748,23 +758,63 @@ def test_non_finite_value_is_the_first_failing_sub_step(both_marches, overrides,
     blow = desk_problem(grid=grid, **overrides)
     members = [desk_problem(grid=grid), blow,
                desk_problem(variant=ModelVariant.RISK_FREE, sigma=0.3, grid=grid)]
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), guarded(substep):
         warnings.simplefilter("ignore", ModelAssumptionWarning)
-        assert int(solver.plan(blow, substep).nsub[0]) == nsub
+        assert int(solver.plan(blow).nsub[0]) == nsub
         assert first_non_finite(blow, substep) == failure
         for _ in both_marches():
             with pytest.raises(NonFiniteValue) as lone:
-                solve(blow, substep)
+                solve(blow)
             assert (lone.value.step, lone.value.node) == failure
-            outs = solve_stack(members, substep=substep)
+            outs = solve_stack(members)
             assert isinstance(outs[1], NonFiniteValue)
             assert (outs[1].step, outs[1].node) == failure
             for k in (0, 2):
-                want = _lone(members[k], substep)
+                want = _lone(members[k])
                 if isinstance(want, NonFiniteValue):
                     assert (outs[k].step, outs[k].node) == (want.step, want.node)
                 else:
                     np.testing.assert_array_equal(outs[k], want[-1])
+
+
+@pytest.mark.parametrize("overrides, horizon", [
+    ({"r": 1e300}, 1.0),
+    ({"q_S": 1e300}, 1.0),
+    ({"gamma_S": -1e300}, 1.0),
+    ({"sigma": 1e9}, 1.0),
+    ({"sigma": 1e100}, 1.0),
+    ({"sigma": 1e154}, 1.0),  # the diffusion overflows to inf: a bound of 0
+    ({}, 1e300),
+], ids=["r", "q_S", "gamma_S", "sigma-1e9", "sigma-1e100", "sigma-1e154", "horizon"])
+def test_a_member_no_sub_step_count_fits_fails_alone(both_marches, overrides, horizon):
+    """A member whose stability bound is 0, or whose dtau / bound reaches
+    2**63, which the march's int64 nsub cannot hold, fails at planning with
+    InvalidSpec naming dtau and the bound, lone and stacked; its duplicate
+    gets a copy, and a healthy member, on its grid or on another, its lone
+    bits. On a grid of no levels it marches nothing and does not fail."""
+    spec = replace(desk_grid(), horizon=horizon)
+    blow, healthy = desk_problem(grid=spec, **overrides), desk_problem()
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("ignore", ModelAssumptionWarning)
+        bound = stability_bound(build_space_grid(spec), blow.effective_params())
+        assert bound == 0.0 or spec.dtau / bound >= 2.0 ** 63
+        message = (f"dtau = {spec.dtau!r} over the stability bound {bound!r} needs 2**63 or "
+                   "more sub-steps, more than the march can count")
+        want = solve(healthy).values
+        for _ in both_marches():
+            with pytest.raises(InvalidSpec) as lone:
+                solve(blow)
+            assert str(lone.value) == message
+            for members in ([blow, healthy, blow], [healthy, blow, blow]):
+                outs = solve_stack(members, time_index=None)
+                bad = [out for prob, out in zip(members, outs) if prob is blow]
+                assert [(type(err), str(err)) for err in bad] == [(InvalidSpec, message)] * 2
+                assert bad[0] is not bad[1]
+                np.testing.assert_array_equal(outs[members.index(healthy)], want)
+            idle = replace(blow, grid=replace(spec, n_time=0))
+            start = payoff(idle.instrument, build_space_grid(idle.grid))
+            np.testing.assert_array_equal(solve(idle).values, start[None])
+            assert solve_stack([idle, idle], time_index=0)[1].tobytes() == start.tobytes()
 
 
 def test_an_out_of_range_time_index_fails_before_planning():
@@ -781,7 +831,8 @@ def test_an_out_of_range_time_index_fails_before_planning():
     np.testing.assert_array_equal(rows[0], payoff(prob.instrument, build_space_grid(prob.grid)))
 
 
-def test_rows_that_fail_at_different_sub_steps_each_report_their_own(both_marches):
+def test_rows_that_fail_at_different_sub_steps_each_report_their_own(both_marches,
+                                                                     unguarded):
     """Without sub-steps, the huge-rate member of the "interior" case, the
     sigma = 0.4 member of the "no-sub-steps" case and the RiskFree
     sigma = 0.3 member blow up at three different (step, node) pairs. In
@@ -796,8 +847,8 @@ def test_rows_that_fail_at_different_sub_steps_each_report_their_own(both_marche
         failures = [first_non_finite(prob, substep=False) for prob in blows]
         assert len(set(failures)) == 3 and None not in failures
         for _ in both_marches():
-            want = [solve(prob, substep=False).terminal for prob in healthy]
-            outs = solve_stack(members, substep=False)
+            want = [solve(prob).terminal for prob in healthy]
+            outs = solve_stack(members)
             for prob, failure in zip(blows, failures):
                 bad = outs[members.index(prob)]
                 assert isinstance(bad, NonFiniteValue) and (bad.step, bad.node) == failure
@@ -813,8 +864,9 @@ def planner_stacks(draw):
     member of any variant and drift mode, an upwind member whose drift is
     negative, a custom payoff, one whose payoff has too few samples, the
     (+0.0, -0.0, +0.0) rates row, a member that breaks condition 1, or a
-    duplicate of an earlier member; with up to three ties of two members
-    and either sub-step setting."""
+    duplicate of an earlier member; with up to three ties of two members,
+    and whether the members plan with the stability guard (else through
+    ``unguarded_planning``, at nsub 1 before ties)."""
     n_space = draw(st.integers(4, 24))
     spec = GridSpec(x_minus=X_MINUS, x_plus=X_PLUS, x_star=math.log(STRIKE),
                     alpha=(X_PLUS - X_MINUS) / draw(st.floats(2.0, 20.0)), n_space=n_space,
@@ -897,10 +949,11 @@ def test_the_stacked_plan_is_each_members_lone_plan_bit_for_bit(stack):
     row's delta."""
     members, ties, substep = stack
     space = build_space_grid(members[0].grid)
-    (out, rows, findings, stacked), messages = _recorded(
-        lambda: solver._plan_stack(members, substep, ties))
+    with guarded(substep):
+        (out, rows, findings, stacked), messages = _recorded(
+            lambda: solver._plan_stack(members, ties))
+        lone = [_recorded(lambda: solver.plan(prob)) for prob in members]
     assert messages == []
-    lone = [_recorded(lambda: solver.plan(prob, substep)) for prob in members]
 
     nsub = {i: int(pl.nsub[0]) for i, (pl, _) in enumerate(lone) if isinstance(pl, solver.Plan)}
     for tie in ties:  # the rule ties follow: each raises its planned members to their largest
@@ -966,7 +1019,8 @@ def test_the_engine_counts_its_work(both_marches):
                 _grid_builds()) == (5, 5, 5, 1)
         grid_cache.cache_clear()
         solver._counts.reset()
-        solve_stack([prob, prob], substep=False)
+        with unguarded_planning():
+            solve_stack([prob, prob])
         assert vars(solver._counts) == dict(members=2, plans=1, rows=1, substeps=261,
                                             node_updates=261 * 199)
         assert _grid_builds() == 1
@@ -1129,14 +1183,14 @@ def test_each_duplicate_gets_its_own_rows(both_marches, time_index):
         assert second.tobytes() == lone.tobytes()
 
 
-def test_each_duplicate_gets_its_own_error(both_marches):
+def test_each_duplicate_gets_its_own_error(both_marches, unguarded):
     """A planning error and a march error reach every duplicate as an error
     of their own, of the same type and message."""
     ill = desk_problem(sigma=0.02, grid=desk_grid(n_time=4))
     unstable = desk_problem(sigma=0.4)
     for _ in both_marches():
         with pytest.warns(ModelAssumptionWarning, match="centre weight"):
-            outs = solve_stack([ill, unstable, ill, unstable], substep=False)
+            outs = solve_stack([ill, unstable, ill, unstable])
         for first, again, kind in ((outs[0], outs[2], WellPosednessViolation),
                                    (outs[1], outs[3], NonFiniteValue)):
             assert type(first) is kind and type(again) is kind and first is not again
