@@ -7,12 +7,15 @@ named by a CRC of the source, the compiler, the flags and the machine, so
 a changed source builds anew. It returns None when no compiler, no build
 or no load works; the solver then marches each row in numpy, one sub-step
 at a time (``solver._march_numpy``), which gives the same bits. One call of
-its ``march_rows`` marches every row of a stack on one grid.
+its ``march_rows`` marches every row of a stack on one grid; every array it
+reads is writable, since ``address`` refuses a read-only one.
 
 The flags keep the order of operations: ``-ffp-contract=off`` stops the
 compiler from fusing a*b + c into one rounding, and there is no
 ``-ffast-math`` and no ``-march=native`` (a cached library may be loaded
 on another CPU; the source picks AVX2 at load time where it exists).
+``FLAGS`` is their one home: CI also compiles the source with them and
+``-Wall -Wextra -Werror``.
 """
 
 from __future__ import annotations
@@ -62,10 +65,8 @@ def _load():
 
 
 def address(array) -> int:
-    """The address of a C-contiguous numpy array's data: ``array.ctypes.data``,
-    read for a writable array at a third of its cost."""
-    if not (array.nbytes and array.flags.writeable):
-        return array.ctypes.data
+    """The address of a writable, nonempty, C-contiguous numpy array's data, at
+    a third of ``array.ctypes.data``'s cost; a read-only array raises TypeError."""
     return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 

@@ -33,7 +33,7 @@ from .errors import ConfigError, EngineError, InvalidSpec
 from .greeks import DEFAULT_EPS, greeks_report
 from .grid import GridSpec, build_space_grid
 from .instrument import Instrument
-from .model import ModelParams, ModelVariant
+from .model import ModelParams, ModelVariant, _finite
 from .solver import DRIFT_MODES, Problem, solve
 
 __all__ = ["resolve_config", "build_problem", "main"]
@@ -76,18 +76,14 @@ def _merge(section: str, given, defaults: dict) -> dict:
 
 
 def _number(path: str, value) -> float:
-    """A config number as a float; booleans, non-numbers, NaN and +-Infinity
-    (which JSON input may hold) name their path."""
-    if not isinstance(value, bool):
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            pass
-        else:
-            if math.isfinite(x):
-                return x
-            raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    raise ConfigError(f"{path} must be a number, got {value!r}")
+    """A config number as a float: a JSON number only. Strings, booleans,
+    NaN, +-Infinity (which JSON input may hold) and integers too large for
+    a float name their path."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    if not _finite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _positive(path: str, value) -> float:

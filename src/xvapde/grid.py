@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .model import ModelParams, variance_and_drift
+from .model import ModelParams, _finite, variance_and_drift
 
 __all__ = ["GridSpec", "SpaceGrid", "build_space_grid", "build_time_grid", "stability_bound"]
 
@@ -37,7 +37,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:  # vars(self) would slow every later read
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be a finite number, got {getattr(self, name)!r}")
         for name in ("n_space", "n_time"):
             count = getattr(self, name)
@@ -152,7 +152,9 @@ def stability_bound(grid: SpaceGrid, p: ModelParams) -> float:
 def _stability_bounds(grid: SpaceGrid, sig2, drift, r) -> list[float]:
     """``stability_bound`` of scalars, or of per-member (K, 1) columns of
     sig2, drift and r, one bound per member; each element is computed as
-    the scalar formula computes it."""
-    denom = 0.5 * sig2 * (grid.h_plus + grid.h_minus) + abs(drift) / grid.h[1:] + r
+    the scalar formula computes it. A diffusion or drift that overflows
+    reads as a bound of 0, with no RuntimeWarning."""
+    with np.errstate(over="ignore"):
+        denom = 0.5 * sig2 * (grid.h_plus + grid.h_minus) + abs(drift) / grid.h[1:] + r
     return [1.0 / worst if worst > 0.0 else math.inf
             for worst in denom.max(axis=-1).reshape(-1).tolist()]

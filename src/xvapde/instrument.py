@@ -9,7 +9,9 @@ at its continuous-limit rate instead leaves the wall a first-order-in-h
 step behind the interior march, which surfaces as a concave kink in the
 value and a Delta dip over the last few nodes. Both legs agree with the
 payoff at tau = 0, and the dead-side wall is zero. Custom instruments hold
-their endpoint payoff values fixed.
+their endpoint payoff values fixed; an instrument keeps their samples as
+the read-only float64 copy it checked, so a later write to the caller's
+list or array changes nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from .errors import MissingPayoff
 from .grid import SpaceGrid
-from .model import ModelParams, cpty_cost_rate, positive_exposure_rate, variance_and_drift
+from .model import (ModelParams, _finite, cpty_cost_rate, positive_exposure_rate,
+                    variance_and_drift)
 
 __all__ = ["Instrument", "payoff", "boundary_curves", "curve_values", "boundary_values"]
 
@@ -37,14 +40,19 @@ class Instrument:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not math.isfinite(self.strike):
+        if not _finite(self.strike):
             raise ValueError(f"strike must be a finite number, got {self.strike!r}")
         if not self.strike > 0.0:
             raise ValueError("strike must be positive")
         if self.custom_payoff is None:
             return
         try:  # a list of finite numbers; payoff checks its length against the grid
-            g = np.asarray(self.custom_payoff, dtype=float)
+            g = np.array(self.custom_payoff, dtype=float)  # a copy, kept read-only below
+        except OverflowError:  # an int too large for a float, named as a NaN is
+            g = np.array(self.custom_payoff, dtype=object)  # a wrong shape is named below
+            if g.ndim == 1:
+                k, v = next((k, v) for k, v in enumerate(g.tolist()) if not _finite(v))
+                raise ValueError(f"custom_payoff[{k}] must be a finite number, got {v!r}") from None
         except (TypeError, ValueError):
             raise ValueError("custom_payoff must be a list of numbers") from None
         if g.ndim != 1:
@@ -53,6 +61,8 @@ class Instrument:
         if bad.size:
             k = int(bad[0])
             raise ValueError(f"custom_payoff[{k}] must be a finite number, got {float(g[k])!r}")
+        g.flags.writeable = False
+        object.__setattr__(self, "custom_payoff", g)
 
 
 def payoff(inst: Instrument, grid: SpaceGrid) -> np.ndarray:
@@ -63,8 +73,8 @@ def payoff(inst: Instrument, grid: SpaceGrid) -> np.ndarray:
         return np.maximum(inst.strike - grid.spots, 0.0)
     if inst.custom_payoff is None:
         raise MissingPayoff("custom instrument has no payoff samples")
-    g = np.asarray(inst.custom_payoff, dtype=float)
-    if g.shape != grid.nodes.shape:
+    g = inst.custom_payoff
+    if g.size != grid.nodes.size:
         raise MissingPayoff(
             f"custom payoff has {g.size} samples but the grid has {grid.nodes.size} nodes")
     return g.copy()

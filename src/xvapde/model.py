@@ -64,12 +64,12 @@ class ModelParams:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:  # vars(self) would slow every later read
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
-        try:  # the variance squares it: an inf square raises, a 0 one can give 0*-inf
-            square = self.sigma ** 2
+        try:  # the variance squares it: an inf square raises, a 0 one can give 0*-inf,
+            square = float(self.sigma) ** 2  # and an int's exact square passes, then overflows
         except OverflowError:
             square = math.inf
         if not 0.0 < square < math.inf:
@@ -108,6 +108,14 @@ class ModelVariant(enum.Enum):
         if self is ModelVariant.BK:
             return replace(p, C_S=0.0, C_B=0.0, C_C=0.0)
         return p
+
+
+def _finite(x) -> bool:
+    """``math.isfinite``, with an int too large for a float read as not finite."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def turnover_factor(dt: float) -> float:

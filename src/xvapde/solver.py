@@ -72,6 +72,7 @@ from .model import (
     ConditionReport,
     ModelParams,
     ModelVariant,
+    _finite,
     check_condition2,
     check_condition4,
     cpty_cost_rate,
@@ -109,7 +110,7 @@ class Problem:
     def __post_init__(self):
         if self.drift_discretization not in DRIFT_MODES:
             raise ValueError(f"drift_discretization must be one of {DRIFT_MODES}")
-        if not math.isfinite(self.condition2_c):
+        if not _finite(self.condition2_c):
             raise ValueError(f"condition2_c must be a finite number, got {self.condition2_c!r}")
 
     def effective_params(self) -> ModelParams:
@@ -490,8 +491,9 @@ def _march(st: Plan, rows: np.ndarray, first: int, last: int, keep: int | None) 
     x = np.array(rows, dtype=float)
     n_rows, width = x.shape
     nsub = np.ascontiguousarray(st.nsub, dtype=np.int64)
+    # the kernel reads only writable arrays (``_kernel.address``): h is copied off the grid
     delta, a, b, c, h, rates, walls = (np.ascontiguousarray(v, dtype=float) for v in (
-        st.delta, st.a, st.b, st.c, st.grid.h[1:], st.rates, st.walls))
+        st.delta, st.a, st.b, st.c, st.grid.h[1:].copy(), st.rates, st.walls))
     start, count = (first, last - first + 1) if keep is None else (keep, 1)
     if (nsub.shape != (n_rows,) or delta.shape != (n_rows,) or h.shape != (width - 2,)
             or a.shape != (n_rows, width - 2) or b.shape != a.shape or c.shape != a.shape
@@ -636,19 +638,16 @@ def _plan_key(prob: Problem, p: ModelParams | None = None) -> tuple:
     so the RiskFree twins of a lambda_C, R_C or C_S sweep share one key.
     These, condition2_c and the strike count by their bits and types, so a
     -0.0 rate never merges with a +0.0 one. The instrument counts by value:
-    its kind, its strike and a custom payoff's float64 bytes and shape, so
-    equal instruments built apart share a key.
+    its kind, its strike and a custom payoff's float64 bytes, so equal
+    instruments built apart share a key.
     """
     p = prob.effective_params() if p is None else p
     inst = prob.instrument
     values = (p.r, p.q_S, p.gamma_S, p.sigma, p.dt, p.C_S, *source_rates(p), prob.condition2_c,
               inst.strike)
     custom = inst.custom_payoff
-    if custom is not None:
-        custom = np.asarray(custom, dtype=float)
-        custom = custom.tobytes(), custom.shape
     return (np.array(values, dtype=float).tobytes(), tuple(map(type, values)), inst.kind,
-            custom, prob.drift_discretization)
+            None if custom is None else custom.tobytes(), prob.drift_discretization)
 
 
 def _duplicate(outcome):

@@ -6,6 +6,7 @@ closed form is validated by an independent construction, not by itself.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.special import gammaln
 from scipy.stats import norm
 
 from xvapde import (
+    ModelAssumptionWarning,
     ModelVariant,
     build_space_grid,
     closed_form_call,
@@ -197,6 +199,21 @@ def test_sweep_records_a_non_finite_member_and_solves_the_rest(parameter, values
     assert res.prices[bad] is None and res.cvas[bad] is None
     member = replace(prob, params=replace(prob.params, **{parameter: values[good]}))
     np.testing.assert_array_equal(res.prices[good], solve(member).terminal)
+
+
+def test_sweep_records_a_member_whose_diffusion_overflows():
+    """sigma = 1e154 overflows the planner's diffusion, a stability bound of
+    0: that member records its InvalidSpec with no RuntimeWarning on the way,
+    and 0.1 solves as it does alone."""
+    prob = desk_problem(grid=desk_grid(n_space=10, n_time=4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)  # condition 2 fails at 1e154
+        warnings.simplefilter("error", RuntimeWarning)
+        res = sweep(prob, "sigma", [0.1, 1e154])
+    assert list(res.errors) == [1e154]
+    assert res.errors[1e154].startswith("InvalidSpec: dtau = ")
+    member = replace(prob, params=replace(prob.params, sigma=0.1))
+    np.testing.assert_array_equal(res.prices[0], solve(member).terminal)
 
 
 def test_sweep_prices_fall_as_the_share_cost_rises():

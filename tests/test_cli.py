@@ -197,6 +197,22 @@ def test_a_step_no_sub_step_count_fits_exits_1(tmp_path, section, values):
     assert not (tmp_path / "out" / "surface.csv").exists()
 
 
+def test_a_diffusion_that_overflows_warns_of_condition_2_only(tmp_path):
+    """sigma = 1e154 overflows the planner's diffusion, a stability bound of
+    0, with no numpy overflow warning: ``xvapde price`` prints the
+    condition-2 warning and the InvalidSpec error, and nothing else."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"sigma": 1e154}}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "xvapde", "price", "--config", str(path),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    warning, error = done.stderr.splitlines()
+    assert warning.startswith("warning: condition2 failed: ")
+    assert error.startswith("error: InvalidSpec: dtau = ")
+
+
 def test_sweep_command_requires_a_sweep_section(tmp_path, capsys):
     code, _ = run(tmp_path, "sweep", {"grid": FAST_GRID})
     assert code == 2
@@ -452,6 +468,10 @@ def test_bad_sweep_values_exit_2(tmp_path, capsys, values, path):
     ("grid", "horizon", False, "must be a number"),
     ("params", "sigma", True, "must be a number"),
     ("params", "lambda_C", "high", "must be a number"),
+    ("params", "sigma", "0.1", "must be a number, got '0.1'"),
+    ("grid", "n_space", "20", "must be a number, got '20'"),
+    ("params", "r", 10**400, f"must be a finite number, got {10**400}"),
+    ("grid", "n_space", 10**400, f"must be a finite number, got {10**400}"),
     ("params", "q_S", math.inf, "must be a finite number"),
     ("grid", "horizon", math.inf, "must be a finite number"),
     ("params", "r", math.nan, "must be a finite number"),
@@ -466,6 +486,7 @@ def test_bad_sweep_values_exit_2(tmp_path, capsys, values, path):
     ("greeks", "eps_sigma", -0.001, "must be positive"),
     ("greeks", "eps_r", 0, "must be positive"),
 ], ids=["fractional-count", "boolean-count", "boolean-float", "boolean-param", "string-param",
+        "numeric-string-param", "numeric-string-count", "huge-int-param", "huge-int-count",
         "infinite-param", "infinite-float", "nan-param", "infinite-count", "string-strike",
         "boolean-strike", "negative-strike", "zero-strike", "string-wall", "null-wall",
         "negative-eps", "zero-eps"])
@@ -475,7 +496,8 @@ def test_non_integral_and_boolean_numbers_exit_2(tmp_path, capsys, section, key,
     cfg.setdefault(section, {})[key] = value
     code, _ = run(tmp_path, "greeks" if section == "greeks" else "price", cfg)
     assert code == 2
-    assert f"error: {section}.{key} {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err  # one error line, no traceback
+    assert err.startswith(f"error: {section}.{key} {message}") and err.count("\n") == 1
 
 
 def test_integral_floats_are_counts():

@@ -51,7 +51,8 @@ def test_rejects_degenerate_sizes(field, value):
         GridSpec(**kw)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="int-10**400")])
 @pytest.mark.parametrize("field", ["x_minus", "x_plus", "x_star", "alpha", "n_space", "n_time",
                                    "horizon"])
 def test_rejects_non_finite_fields(field, value):

@@ -32,7 +32,8 @@ def test_rejects_nonpositive_strike():
         Instrument(kind="call", strike=0.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="int-10**400")])
 def test_rejects_non_finite_strike(value):
     with pytest.raises(ValueError, match="^strike must be a finite number"):
         Instrument(kind="call", strike=value)
@@ -47,6 +48,19 @@ def test_rejects_a_non_finite_custom_payoff_sample(value):
         Instrument("custom", STRIKE, custom_payoff=samples)
     with pytest.raises(ValueError, match=r"^custom_payoff\[3\]"):
         Instrument("custom", STRIKE, custom_payoff=samples.tolist())
+
+
+def test_rejects_a_custom_payoff_sample_too_large_for_a_float():
+    """A sample of 401 digits, which no float holds, is named as a NaN one is."""
+    samples = [0.0] * 11
+    samples[3] = 10**400
+    for given in (samples, np.array(samples, dtype=object)):
+        with pytest.raises(ValueError, match=rf"^custom_payoff\[3\] must be a finite number, "
+                                             rf"got {10**400}$"):
+            Instrument("custom", STRIKE, custom_payoff=given)
+    with pytest.raises(ValueError, match=r"^custom_payoff must be a list of numbers, "
+                                         r"got shape \(1, 11\)$"):
+        Instrument("custom", STRIKE, custom_payoff=[samples])
 
 
 @pytest.mark.parametrize("samples, match", [

@@ -191,12 +191,15 @@ def test_processes_building_at_once_each_load_a_whole_library(tmp_path):
 
 def test_the_address_passed_to_the_kernel_is_the_arrays_data():
     """The kernel reads its arrays at ``_kernel.address``: the address numpy
-    reports, for writable, read-only, sliced and empty arrays alike."""
+    reports, for writable and sliced arrays alike. A read-only array is
+    refused, not read another way: every array the kernel reads is writable."""
     data = np.arange(12.0).reshape(3, 4)
+    for array in (data, data[1:]):
+        assert _kernel.address(array) == array.ctypes.data
     frozen = data.copy()
     frozen.flags.writeable = False
-    for array in (data, data[1:], frozen, np.empty(0)):
-        assert _kernel.address(array) == array.ctypes.data
+    with pytest.raises(TypeError, match="not writable"):
+        _kernel.address(frozen)
 
 
 def test_a_missing_compiler_falls_back_to_the_numpy_march(tmp_path, monkeypatch):

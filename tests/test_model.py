@@ -106,7 +106,8 @@ def test_accepted_params_give_a_variance_or_break_condition_1(sigma, dt, c_s):
     assert math.isfinite(v) and v > 0.0
 
 
-NON_FINITE = [math.nan, math.inf, -math.inf]
+# 10**400 is finite as an int, but no float holds it
+NON_FINITE = [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-10**400")]
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
@@ -114,6 +115,14 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 def test_rejects_non_finite_fields(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
         desk_params(**{name: value})
+
+
+def test_rejects_an_int_sigma_whose_square_no_float_holds():
+    """The exact square of an int sigma of 10**200 is an int, finite as such;
+    modified_variance would overflow converting it, so it fails here."""
+    with pytest.raises(ValueError, match=f"^sigma must have a positive finite square, "
+                                         f"got {10**200}$"):
+        desk_params(sigma=10**200)
 
 
 # --- Variant filtering ---

@@ -74,7 +74,8 @@ def test_rejects_unknown_drift_discretization():
                 instrument=Instrument("call", STRIKE), drift_discretization="central")
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="int-10**400")])
 def test_rejects_a_non_finite_contraction_constant(value):
     with pytest.raises(ValueError, match=f"^condition2_c must be a finite number, got {value!r}$"):
         replace(desk_problem(), condition2_c=value)
@@ -794,7 +795,7 @@ def test_a_member_no_sub_step_count_fits_fails_alone(both_marches, overrides, ho
     bits. On a grid of no levels it marches nothing and does not fail."""
     spec = replace(desk_grid(), horizon=horizon)
     blow, healthy = desk_problem(grid=spec, **overrides), desk_problem()
-    with warnings.catch_warnings(), np.errstate(over="ignore"):
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelAssumptionWarning)
         bound = stability_bound(build_space_grid(spec), blow.effective_params())
         assert bound == 0.0 or spec.dtau / bound >= 2.0 ** 63
@@ -1154,6 +1155,30 @@ def test_distinct_custom_payoff_instruments_are_not_merged(both_marches):
         for prob, row in zip(members, rows):
             assert row.tobytes() == solve(prob).terminal.tobytes()
         assert not np.array_equal(rows[0], rows[1])
+
+
+@pytest.mark.parametrize("container", [np.array, list], ids=["array", "list"])
+def test_a_custom_payoff_is_kept_as_it_was_checked(both_marches, container):
+    """An Instrument keeps a read-only float64 copy of the samples it
+    checked: a NaN written into the caller's array or list afterwards
+    changes neither the payoff, nor the plan key, nor a solve's bits, and
+    the kept samples cannot be written."""
+    grid = desk_grid(n_space=40, n_time=10)
+    spots = build_space_grid(grid).spots
+    samples = container(np.maximum(spots - STRIKE, 0.0).tolist())
+    prob = desk_problem(grid=grid, instrument=Instrument("custom", STRIKE, custom_payoff=samples))
+    kept = prob.instrument.custom_payoff
+    assert (kept.dtype, kept.ndim, kept.flags.writeable) == (np.float64, 1, False)
+    want_payoff = payoff(prob.instrument, build_space_grid(grid)).tobytes()
+    want_key = solver._plan_key(prob)
+    wants = {path: solve(prob).values.tobytes() for path in both_marches()}
+    samples[19] = math.nan
+    assert payoff(prob.instrument, build_space_grid(grid)).tobytes() == want_payoff
+    assert solver._plan_key(prob) == want_key
+    for path in both_marches():
+        assert solve(prob).values.tobytes() == wants[path]
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0] = 1.0
 
 
 def test_equal_instruments_built_apart_plan_once(both_marches):
